@@ -7,7 +7,9 @@
 #include <cstring>
 #include <memory>
 #include <stdexcept>
+#include <utility>
 
+#include "net/topology.h"
 #include "sim/rng.h"
 #include "workload/apps.h"
 
@@ -31,15 +33,48 @@ std::uint64_t log_uniform(sim::Rng& rng, std::uint64_t lo, std::uint64_t hi) {
   return static_cast<std::uint64_t>(v);
 }
 
-/// Plants a scenario's test-only defect. "eat:N" silently destroys the Nth
-/// data frame serialized anywhere in the fabric — no counter, no telemetry,
-/// no tap — which is exactly the class of accounting bug the conservation
-/// oracle exists to catch. "eat@<T>us:N" is the slow-burn variant: the
-/// eater stays dormant until the simulated clock reaches T, then destroys
-/// the Nth data frame it sees (the soak tier's acceptance bug — invisible
-/// through every epoch before T).
-void install_bug(harness::Experiment& ex, const std::string& bug) {
-  if (bug.empty()) return;
+/// Shared state of one planted frame eater: dormant until the clock
+/// reaches `arm_at`, then it destroys the `target`th data frame it sees.
+struct EaterState {
+  const sim::Simulation* clk = nullptr;
+  sim::Time arm_at = 0;
+  std::uint64_t target = 0;
+  std::uint64_t seen = 0;
+};
+
+/// Sits between a switch port and its peer (a switch or a host): the chosen
+/// frame leaves the port but never arrives — no counter, no telemetry, no
+/// tap.
+class EatingSink final : public net::PacketSink {
+ public:
+  EatingSink(net::PacketSink& inner, std::shared_ptr<EaterState> st)
+      : inner_(inner), st_(std::move(st)) {}
+
+  void receive(net::Packet p, net::PortId in_port) override {
+    EaterState& st = *st_;
+    if (st.clk->now() >= st.arm_at && p.payload != 0 &&
+        ++st.seen == st.target) {
+      return;
+    }
+    inner_.receive(std::move(p), in_port);
+  }
+
+ private:
+  net::PacketSink& inner_;
+  std::shared_ptr<EaterState> st_;
+};
+
+/// Plants a scenario's test-only defect and returns the sinks it wired in.
+/// "eat:N" silently destroys the Nth data frame sent by any switch port —
+/// no counter, no telemetry, no tap — which is exactly the class of
+/// accounting bug the conservation oracle exists to catch. "eat@<T>us:N" is
+/// the slow-burn variant: the eater stays dormant until the simulated clock
+/// reaches T, then destroys the Nth data frame it sees (the soak tier's
+/// acceptance bug — invisible through every epoch before T).
+std::vector<std::unique_ptr<net::PacketSink>> install_bug(
+    harness::Experiment& ex, const std::string& bug) {
+  std::vector<std::unique_ptr<net::PacketSink>> sinks;
+  if (bug.empty()) return sinks;
   if (bug.rfind("eat", 0) == 0) {
     const char* p = bug.c_str() + 3;
     sim::Time arm_at = 0;
@@ -58,22 +93,32 @@ void install_bug(harness::Experiment& ex, const std::string& bug) {
     }
     const std::uint64_t target = std::strtoull(p, nullptr, 10);
     if (target == 0) throw std::invalid_argument("bug eat:N needs N >= 1");
-    auto eaten = std::make_shared<std::uint64_t>(0);
-    const sim::Simulation* clk = &ex.sim();
+    auto st = std::make_shared<EaterState>(EaterState{&ex.sim(), arm_at,
+                                                      target});
+    // Re-wire every switch port onto an eating decorator of its peer: one
+    // per switch (shared by all its input ports) and one per host.
+    auto eater = [&sinks, &st](net::PacketSink& inner) {
+      sinks.push_back(std::make_unique<EatingSink>(inner, st));
+      return sinks.back().get();
+    };
     net::Topology& topo = ex.topo();
+    std::vector<net::PacketSink*> to_switch;
     for (net::SwitchId s = 0; s < topo.switch_count(); ++s) {
-      net::Switch& sw = topo.get_switch(s);
-      for (std::size_t i = 0; i < sw.port_count(); ++i) {
-        sw.port(static_cast<net::PortId>(i))
-            .set_test_packet_eater(
-                [eaten, target, clk, arm_at](const net::Packet& p) {
-                  if (clk->now() < arm_at) return false;
-                  if (p.payload == 0) return false;
-                  return ++*eaten == target;
-                });
-      }
+      to_switch.push_back(eater(topo.get_switch(s)));
     }
-    return;
+    for (const net::FabricLink& l : topo.fabric_links()) {
+      topo.get_switch(l.leaf).port(l.leaf_port).connect(to_switch[l.spine],
+                                                        l.spine_port);
+      topo.get_switch(l.spine).port(l.spine_port).connect(to_switch[l.leaf],
+                                                          l.leaf_port);
+    }
+    for (net::HostId h = 0; h < topo.host_count(); ++h) {
+      const net::HostAttachment& at = topo.host(h);
+      topo.get_switch(at.edge_switch)
+          .port(at.edge_port)
+          .connect(eater(ex.host(h)), 0);
+    }
+    return sinks;
   }
   throw std::invalid_argument("unknown scenario bug: " + bug);
 }
@@ -462,7 +507,7 @@ Scenario Scenario::generate(std::uint64_t seed) {
 ScenarioRun::ScenarioRun(const Scenario& sc, CheckerOptions opt)
     : sc_(sc), ex_(experiment_config(sc)), chk_(ex_, adjust_options(opt, sc)) {
   chk_.arm();
-  install_bug(ex_, sc_.bug);
+  bug_sinks_ = install_bug(ex_, sc_.bug);
 
   // Workload build/schedule order is load-bearing: it fixes event-queue
   // insertion order and every RNG draw, and replay-based checkpointing

@@ -10,12 +10,14 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "check/oracle.h"
 #include "controller/control_loop.h"
 #include "harness/experiment.h"
+#include "net/sink.h"
 
 namespace presto::check {
 
@@ -148,6 +150,9 @@ class ScenarioRun {
   Scenario sc_;
   harness::Experiment ex_;
   Checker chk_;
+  /// The planted bug's decorators, spliced between switch ports and their
+  /// peers (empty when the scenario plants none).
+  std::vector<std::unique_ptr<net::PacketSink>> bug_sinks_;
   std::size_t expected_ = 0;
   std::size_t completed_ = 0;
 };

@@ -220,10 +220,9 @@ void Experiment::build_hosts() {
     if (telem_ != nullptr && cfg_.telemetry.flight_recorder()) {
       // Flight-recorder runs also probe the host uplink (the first hop of
       // every span); kept off otherwise so metrics-only snapshots match
-      // their pre-flight-recorder values. The high bit marks host nodes in
-      // trace events (switch ids stay dense from 0).
-      host_ptr->uplink().attach_telemetry(telem_->port_probes(),
-                                          0x8000'0000u | h, 0);
+      // their pre-flight-recorder values. The uplink is labelled
+      // kHostNodeBit | h in trace events (switch ids stay dense from 0).
+      host_ptr->uplink().attach_telemetry(telem_->port_probes());
     }
     if (server) {
       host_ptr->set_lb(make_lb(h));

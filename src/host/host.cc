@@ -9,7 +9,7 @@ Host::Host(sim::Simulation& sim, net::HostId id, HostConfig cfg)
     : sim_(sim),
       id_(id),
       cfg_(std::move(cfg)),
-      uplink_(sim, cfg_.uplink),
+      uplink_(sim, cfg_.uplink, net::kHostNodeBit | id, 0),
       jitter_rng_(cfg_.jitter_seed ^ (0x9E37ULL * (id + 1))),
       cpu_(sim, cfg_.cpu_costs) {
   auto push = [this](offload::Segment s) {
@@ -161,10 +161,9 @@ void Host::receive(net::Packet p, net::PortId) {
   // cannot drain the ring and arriving frames are lost.
   if (cpu_.backlog() > cfg_.ring_backlog_limit) {
     ++ring_drops_;
-    if (tap_ != nullptr) {
-      tap_->on_drop(net::kHostNodeBit | id_, -1, p,
-                    net::TapDropCause::kHostRing);
-    }
+    // No host drop probes exist: the shared fan-out reaches only the tap.
+    net::record_drop(nullptr, tap_, sim_.now(), net::kHostNodeBit | id_, -1,
+                     p, net::TapDropCause::kHostRing);
     return;
   }
   if (tap_ != nullptr) tap_->on_host_rx(id_, p);

@@ -125,7 +125,7 @@ class Host : public net::PacketSink {
   /// receive ring, and ring-overflow drops.
   void set_tap(net::WireTap* tap) {
     tap_ = tap;
-    uplink_.set_tap(tap, net::kHostNodeBit | id_, 0);
+    uplink_.set_tap(tap);
   }
 
   /// Checker access to the TCP endpoints living on this host.

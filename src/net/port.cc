@@ -7,76 +7,21 @@
 namespace presto::net {
 
 void TxPort::enqueue(Packet p) {
-  if (down_ || peer_ == nullptr ||
-      queued_bytes_ + p.buffer_bytes() > cfg_.queue_bytes) {
-    ++counters_.dropped_packets;
-    counters_.dropped_bytes += p.buffer_bytes();
-    if (fabric_ != nullptr) {
-      fabric_->on_drop(p.buffer_bytes(),
-                       telemetry::fabric::label_bucket(p.dst_mac),
-                       down_ || peer_ == nullptr
-                           ? telemetry::DropCause::kLinkDown
-                           : telemetry::DropCause::kQueueFull);
-    }
-    if (tap_ != nullptr) {
-      tap_->on_drop(telem_node_, telem_port_, p,
-                    down_ || peer_ == nullptr ? TapDropCause::kLinkDown
-                                              : TapDropCause::kQueueFull);
-    }
-    if (telem_ != nullptr) {
-      const bool unusable = down_ || peer_ == nullptr;
-      const auto cause = unusable ? telemetry::DropCause::kLinkDown
-                                  : telemetry::DropCause::kQueueFull;
-      (unusable ? telem_->drop_link_down : telem_->drop_queue_full)->inc();
-      if (telem_->tracer != nullptr) {
-        telem_->tracer->record(sim_.now(), telemetry::EventType::kDrop,
-                               telem_node_, telem_port_,
-                               static_cast<std::uint64_t>(cause),
-                               p.buffer_bytes());
-      }
-      if (telem_->spans != nullptr && p.span_id != 0) {
-        telem_->spans->annotate(p.span_id, telemetry::SpanEventKind::kDrop,
-                                sim_.now(), telem_node_, telem_port_, p.seq,
-                                p.buffer_bytes());
-      }
-    }
+  const bool unusable = down_ || peer_ == nullptr;
+  if (unusable || queued_bytes_ + p.buffer_bytes() > cfg_.queue_bytes) {
+    dropped(p, unusable ? TapDropCause::kLinkDown : TapDropCause::kQueueFull);
     return;
   }
-  ++counters_.enqueued_packets;
   queued_bytes_ += p.buffer_bytes();
-  if (fabric_ != nullptr) {
-    fabric_->on_enqueue(p.buffer_bytes(), queued_bytes_,
-                        telemetry::fabric::label_bucket(p.dst_mac),
-                        sim_.now());
-  }
-  if (tap_ != nullptr) tap_->on_port_enqueue(telem_node_, telem_port_, p);
-  if (telem_ != nullptr) {
-    telem_->enqueued->inc();
-    telem_->queue_depth_bytes->add(static_cast<double>(queued_bytes_));
-    if (telem_->label_flight != nullptr) {
-      telem_->label_flight->add(p.dst_mac, p.buffer_bytes());
-    }
-    if (telem_->tracer != nullptr) {
-      telem_->tracer->record(sim_.now(), telemetry::EventType::kEnqueue,
-                             telem_node_, telem_port_, queued_bytes_,
-                             p.buffer_bytes());
-    }
-    if (telem_->spans != nullptr && p.span_id != 0) {
-      telem_->spans->annotate(p.span_id, telemetry::SpanEventKind::kEnqueue,
-                              sim_.now(), telem_node_, telem_port_, p.seq,
-                              p.buffer_bytes());
-    }
-  }
+  enqueued(p);
   queue_.push_back(pool_.acquire(std::move(p)));
   if (!busy_) start_transmission();
 }
 
 void TxPort::start_transmission() {
   busy_ = true;
-  const Packet& head = *queue_.front();
-  const double bits = 8.0 * head.wire_bytes();
-  const auto ser_ns =
-      static_cast<sim::Time>(bits / cfg_.rate_bps * 1e9 + 0.5);
+  const auto ser_ns = static_cast<sim::Time>(
+      8.0 * queue_.front()->wire_bytes() / cfg_.rate_bps * 1e9 + 0.5);
   sim_.schedule(ser_ns, [this] { finish_transmission(); });
 }
 
@@ -84,57 +29,9 @@ void TxPort::finish_transmission() {
   Packet* p = queue_.front();
   queue_.pop_front();
   queued_bytes_ -= p->buffer_bytes();
-  ++counters_.tx_packets;
-  counters_.tx_bytes += p->buffer_bytes();
-  if (fabric_ != nullptr) {
-    fabric_->on_tx(p->buffer_bytes(), queued_bytes_,
-                   telemetry::fabric::label_bucket(p->dst_mac), sim_.now());
-  }
-  if (telem_ != nullptr) {
-    if (telem_->label_flight != nullptr) {
-      telem_->label_flight->add(p->dst_mac,
-                                -static_cast<std::int64_t>(p->buffer_bytes()));
-    }
-    if (telem_->spans != nullptr && p->span_id != 0) {
-      telem_->spans->annotate(p->span_id, telemetry::SpanEventKind::kDequeue,
-                              sim_.now(), telem_node_, telem_port_, p->seq,
-                              p->buffer_bytes());
-    }
-  }
-  if (test_eater_ && test_eater_(*p)) {
-    // Injected test fault: the frame vanishes without any accounting.
-    pool_.release(p);
-  } else if (down_ || peer_ == nullptr) {
-    // The port went down (or was never connected) while this frame sat in
-    // the queue: it is lost at the wire and must be accounted like any
-    // other drop. (An earlier version discarded it silently; the
-    // conservation oracle flags that as unattributed loss.)
-    ++counters_.dropped_packets;
-    counters_.dropped_bytes += p->buffer_bytes();
-    if (fabric_ != nullptr) {
-      fabric_->on_drop(p->buffer_bytes(),
-                       telemetry::fabric::label_bucket(p->dst_mac),
-                       telemetry::DropCause::kLinkDown);
-    }
-    if (tap_ != nullptr) {
-      tap_->on_drop(telem_node_, telem_port_, *p, TapDropCause::kLinkDownTx);
-    }
-    if (telem_ != nullptr) {
-      telem_->drop_link_down->inc();
-      if (telem_->tracer != nullptr) {
-        telem_->tracer->record(
-            sim_.now(), telemetry::EventType::kDrop, telem_node_, telem_port_,
-            static_cast<std::uint64_t>(telemetry::DropCause::kLinkDown),
-            p->buffer_bytes());
-      }
-      if (telem_->spans != nullptr && p->span_id != 0) {
-        telem_->spans->annotate(p->span_id, telemetry::SpanEventKind::kDrop,
-                                sim_.now(), telem_node_, telem_port_, p->seq,
-                                p->buffer_bytes());
-      }
-    }
-    pool_.release(p);
-  } else if (loss_ && loss_model_eats(*p)) {
+  departed(*p);
+  if (const std::optional<TapDropCause> cause = wire_drop()) {
+    dropped(*p, *cause);
     pool_.release(p);
   } else {
     // Propagate to the far end; the frame rides in its pooled slot, so the
@@ -144,58 +41,79 @@ void TxPort::finish_transmission() {
       pool_.release(p);
     });
   }
-  if (!queue_.empty()) {
-    start_transmission();
-  } else {
-    busy_ = false;
-  }
+  busy_ = false;
+  if (!queue_.empty()) start_transmission();
 }
 
-bool TxPort::loss_model_eats(const Packet& p) {
+std::optional<TapDropCause> TxPort::wire_drop() {
+  // The port went down (or was never connected) while the frame sat in the
+  // queue: it is lost at the wire and accounted like any other drop.
+  if (down_ || peer_ == nullptr) return TapDropCause::kLinkDownTx;
+  if (!loss_) return std::nullopt;
   DegradedState& st = *loss_;
   // Advance the GE chain once per frame, then roll against the state's loss
   // probability and the independent corruption probability.
   const double flip = st.rng.uniform();
   if (st.bad ? flip < st.model.p_bg : flip < st.model.p_gb) st.bad = !st.bad;
   const double loss_p = st.bad ? st.model.loss_bad : st.model.loss_good;
-  const bool lost = loss_p > 0 && st.rng.uniform() < loss_p;
-  const bool corrupt =
-      !lost && st.model.corrupt > 0 && st.rng.uniform() < st.model.corrupt;
-  if (!lost && !corrupt) return false;
+  if (loss_p > 0 && st.rng.uniform() < loss_p) return TapDropCause::kLossModel;
+  if (st.model.corrupt > 0 && st.rng.uniform() < st.model.corrupt) {
+    return TapDropCause::kCorrupt;
+  }
+  return std::nullopt;
+}
+
+void TxPort::enqueued(const Packet& p) {
+  ++counters_.enqueued_packets;
+  const std::uint32_t bytes = p.buffer_bytes();
+  if (fabric_ != nullptr) {
+    fabric_->on_enqueue(queued_bytes_,
+                        telemetry::fabric::label_bucket(p.dst_mac), sim_.now());
+  }
+  if (tap_ != nullptr) tap_->on_port_enqueue(node_, port_, p);
+  if (telem_ == nullptr) return;
+  telem_->enqueued->inc();
+  telem_->queue_depth_bytes->add(static_cast<double>(queued_bytes_));
+  if (telem_->label_flight != nullptr) {
+    telem_->label_flight->add(p.dst_mac, bytes);
+  }
+  if (telem_->tracer != nullptr) {
+    telem_->tracer->record(sim_.now(), telemetry::EventType::kEnqueue, node_,
+                           port_, queued_bytes_, bytes);
+  }
+  if (telem_->spans != nullptr && p.span_id != 0) {
+    telem_->spans->annotate(p.span_id, telemetry::SpanEventKind::kEnqueue,
+                            sim_.now(), node_, port_, p.seq, bytes);
+  }
+}
+
+void TxPort::departed(const Packet& p) {
+  ++counters_.tx_packets;
+  counters_.tx_bytes += p.buffer_bytes();
+  if (fabric_ != nullptr) {
+    fabric_->on_tx(p.buffer_bytes(), queued_bytes_,
+                   telemetry::fabric::label_bucket(p.dst_mac), sim_.now());
+  }
+  if (telem_ == nullptr) return;
+  if (telem_->label_flight != nullptr) {
+    telem_->label_flight->add(p.dst_mac,
+                              -static_cast<std::int64_t>(p.buffer_bytes()));
+  }
+  if (telem_->spans != nullptr && p.span_id != 0) {
+    telem_->spans->annotate(p.span_id, telemetry::SpanEventKind::kDequeue,
+                            sim_.now(), node_, port_, p.seq, p.buffer_bytes());
+  }
+}
+
+void TxPort::dropped(const Packet& p, TapDropCause cause) {
   ++counters_.dropped_packets;
   counters_.dropped_bytes += p.buffer_bytes();
-  if (lost) {
-    ++counters_.loss_model_drops;
-  } else {
-    ++counters_.corrupt_drops;
-  }
+  if (cause == TapDropCause::kLossModel) ++counters_.loss_model_drops;
+  if (cause == TapDropCause::kCorrupt) ++counters_.corrupt_drops;
   if (fabric_ != nullptr) {
-    fabric_->on_drop(p.buffer_bytes(),
-                     telemetry::fabric::label_bucket(p.dst_mac),
-                     lost ? telemetry::DropCause::kLossModel
-                          : telemetry::DropCause::kCorrupt);
+    fabric_->on_drop(telemetry::fabric::label_bucket(p.dst_mac), cause);
   }
-  if (tap_ != nullptr) {
-    tap_->on_drop(telem_node_, telem_port_, p,
-                  lost ? TapDropCause::kLossModel : TapDropCause::kCorrupt);
-  }
-  if (telem_ != nullptr) {
-    const auto cause = lost ? telemetry::DropCause::kLossModel
-                            : telemetry::DropCause::kCorrupt;
-    (lost ? telem_->drop_loss_model : telem_->drop_corrupt)->inc();
-    if (telem_->tracer != nullptr) {
-      telem_->tracer->record(sim_.now(), telemetry::EventType::kDrop,
-                             telem_node_, telem_port_,
-                             static_cast<std::uint64_t>(cause),
-                             p.buffer_bytes());
-    }
-    if (telem_->spans != nullptr && p.span_id != 0) {
-      telem_->spans->annotate(p.span_id, telemetry::SpanEventKind::kDrop,
-                              sim_.now(), telem_node_, telem_port_, p.seq,
-                              p.buffer_bytes());
-    }
-  }
-  return true;
+  record_drop(telem_, tap_, sim_.now(), node_, port_, p, cause);
 }
 
 }  // namespace presto::net

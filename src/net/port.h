@@ -8,7 +8,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <optional>
 
 #include "net/packet.h"
@@ -44,6 +43,18 @@ struct PortCounters {
   std::uint64_t dropped_bytes = 0;
   std::uint64_t loss_model_drops = 0;  ///< eaten by a degraded-link model
   std::uint64_t corrupt_drops = 0;     ///< random corruption (FCS fail)
+
+  /// Adds every field of `o` (switch-wide totals).
+  PortCounters& operator+=(const PortCounters& o) {
+    tx_packets += o.tx_packets;
+    tx_bytes += o.tx_bytes;
+    enqueued_packets += o.enqueued_packets;
+    dropped_packets += o.dropped_packets;
+    dropped_bytes += o.dropped_bytes;
+    loss_model_drops += o.loss_model_drops;
+    corrupt_drops += o.corrupt_drops;
+    return *this;
+  }
 };
 
 /// Degraded-link model: Gilbert–Elliott two-state burst loss plus an
@@ -66,7 +77,12 @@ struct LossModel {
 /// Unidirectional output port. The peer sink/port are fixed at wiring time.
 class TxPort {
  public:
-  TxPort(sim::Simulation& sim, LinkConfig cfg) : sim_(sim), cfg_(cfg) {}
+  /// `node`/`port` label every trace event, span and tap callback of this
+  /// port: the owning switch id (or kHostNodeBit | host id for a host
+  /// uplink) and the local port id.
+  TxPort(sim::Simulation& sim, LinkConfig cfg, std::uint32_t node = 0,
+         PortId port = kInvalidPort)
+      : sim_(sim), cfg_(cfg), node_(node), port_(port) {}
 
   TxPort(const TxPort&) = delete;
   TxPort& operator=(const TxPort&) = delete;
@@ -102,13 +118,9 @@ class TxPort {
   std::uint64_t queued_bytes() const { return queued_bytes_; }
   bool connected() const { return peer_ != nullptr; }
 
-  /// Attaches metrics/tracing probes (null disables). `node`/`port` label
-  /// trace events with the owning switch/host and local port id.
-  void attach_telemetry(const telemetry::PortProbes* probes,
-                        std::uint32_t node, std::int32_t port) {
+  /// Attaches metrics/tracing probes (null disables).
+  void attach_telemetry(const telemetry::PortProbes* probes) {
     telem_ = probes;
-    telem_node_ = node;
-    telem_port_ = port;
   }
 
   /// Attaches an in-fabric telemetry monitor (null disables). The monitor
@@ -118,22 +130,8 @@ class TxPort {
     fabric_ = mon;
   }
 
-  /// Attaches a checker wire tap (null disables). Shares the telemetry
-  /// node/port labels, so call after (or instead of) attach_telemetry with
-  /// the same identifiers.
-  void set_tap(WireTap* tap, std::uint32_t node, std::int32_t port) {
-    tap_ = tap;
-    telem_node_ = node;
-    telem_port_ = port;
-  }
-
-  /// Test-only fault: when set, a frame for which the hook returns true is
-  /// silently destroyed at serialization time — no counters, no telemetry,
-  /// no tap. This deliberately violates byte conservation; the shrinker
-  /// demo uses it to prove the oracle catches unattributed loss.
-  void set_test_packet_eater(std::function<bool(const Packet&)> eater) {
-    test_eater_ = std::move(eater);
-  }
+  /// Attaches a checker wire tap (null disables).
+  void set_tap(WireTap* tap) { tap_ = tap; }
 
  private:
   struct DegradedState {
@@ -146,8 +144,16 @@ class TxPort {
   /// Serializer completion for the queue head: dequeue, count, and launch
   /// the propagation event (or drop via the loss model / down state).
   void finish_transmission();
-  /// Steps the degraded-link model for one frame; true => the wire ate it.
-  bool loss_model_eats(const Packet& p);
+  /// Why the wire loses the frame just serialized, if it does: the port is
+  /// down, or the degraded-link model (stepped once per frame) eats it.
+  std::optional<TapDropCause> wire_drop();
+
+  // One fan-out per datapath event: each is the single place that updates
+  // the port counters, the fabric monitor, the tap and the telemetry probes
+  // for it. Called with the queue state already updated.
+  void enqueued(const Packet& p);
+  void departed(const Packet& p);
+  void dropped(const Packet& p, TapDropCause cause);
 
   sim::Simulation& sim_;
   LinkConfig cfg_;
@@ -164,12 +170,11 @@ class TxPort {
   std::optional<DegradedState> loss_;
   PortCounters counters_;
 
+  std::uint32_t node_;
+  PortId port_;
   const telemetry::PortProbes* telem_ = nullptr;
   telemetry::fabric::PortMonitor* fabric_ = nullptr;
-  std::uint32_t telem_node_ = 0;
-  std::int32_t telem_port_ = -1;
   WireTap* tap_ = nullptr;
-  std::function<bool(const Packet&)> test_eater_;
 };
 
 }  // namespace presto::net

@@ -9,26 +9,10 @@ void Switch::receive(Packet p, PortId in_port) {
   if (out == kInvalidPort) {
     ++no_route_drops_;
     if (fabric_ != nullptr) {
-      fabric_->on_no_route(p.buffer_bytes(),
-                           telemetry::fabric::label_bucket(p.dst_mac));
+      fabric_->on_no_route(telemetry::fabric::label_bucket(p.dst_mac));
     }
-    if (tap_ != nullptr) {
-      tap_->on_drop(id_, in_port, p, TapDropCause::kNoRoute);
-    }
-    if (telem_ != nullptr) {
-      telem_->drop_no_route->inc();
-      if (telem_->tracer != nullptr) {
-        telem_->tracer->record(
-            sim_.now(), telemetry::EventType::kDrop, id_, in_port,
-            static_cast<std::uint64_t>(telemetry::DropCause::kNoRoute),
-            p.buffer_bytes());
-      }
-      if (telem_->spans != nullptr && p.span_id != 0) {
-        telem_->spans->annotate(p.span_id, telemetry::SpanEventKind::kDrop,
-                                sim_.now(), id_, in_port, p.seq,
-                                p.buffer_bytes());
-      }
-    }
+    record_drop(telem_, tap_, sim_.now(), id_, in_port, p,
+                TapDropCause::kNoRoute);
     return;
   }
   ports_[static_cast<std::size_t>(out)]->enqueue(std::move(p));
@@ -67,14 +51,7 @@ PortId Switch::apply_failover(PortId out) const {
 
 PortCounters Switch::total_counters() const {
   PortCounters sum;
-  for (const auto& port : ports_) {
-    const PortCounters& c = port->counters();
-    sum.tx_packets += c.tx_packets;
-    sum.tx_bytes += c.tx_bytes;
-    sum.enqueued_packets += c.enqueued_packets;
-    sum.dropped_packets += c.dropped_packets;
-    sum.dropped_bytes += c.dropped_bytes;
-  }
+  for (const auto& port : ports_) sum += port->counters();
   return sum;
 }
 

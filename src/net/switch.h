@@ -36,8 +36,9 @@ class Switch : public PacketSink {
 
   /// Adds an output port with the given link config; returns its id.
   PortId add_port(const LinkConfig& cfg) {
-    ports_.push_back(std::make_unique<TxPort>(sim_, cfg));
-    return static_cast<PortId>(ports_.size() - 1);
+    const auto id = static_cast<PortId>(ports_.size());
+    ports_.push_back(std::make_unique<TxPort>(sim_, cfg, id_, id));
+    return id;
   }
 
   TxPort& port(PortId p) { return *ports_.at(static_cast<std::size_t>(p)); }
@@ -81,10 +82,7 @@ class Switch : public PacketSink {
   void attach_telemetry(const telemetry::SwitchProbes* sw,
                         const telemetry::PortProbes* port_probes) {
     telem_ = sw;
-    for (std::size_t i = 0; i < ports_.size(); ++i) {
-      ports_[i]->attach_telemetry(port_probes, id_,
-                                  static_cast<std::int32_t>(i));
-    }
+    for (auto& port : ports_) port->attach_telemetry(port_probes);
   }
 
   /// Attaches an in-fabric telemetry monitor: every output port gets the
@@ -102,9 +100,7 @@ class Switch : public PacketSink {
   /// (null disables). Call after all ports exist.
   void set_tap(WireTap* tap) {
     tap_ = tap;
-    for (std::size_t i = 0; i < ports_.size(); ++i) {
-      ports_[i]->set_tap(tap, id_, static_cast<std::int32_t>(i));
-    }
+    for (auto& port : ports_) port->set_tap(tap);
   }
 
  private:

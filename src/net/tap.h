@@ -1,4 +1,5 @@
-// Wire-tap observer interface for invariant checkers (src/check).
+// Wire-tap observer interface for invariant checkers (src/check), the drop
+// vocabulary (TapDropCause) and the drop fan-out every drop site shares.
 //
 // A WireTap sees every datapath event that creates, moves, terminates, or
 // destroys a frame: acceptance into a transmit queue, arrival at a switch or
@@ -12,19 +13,25 @@
 // id names either kind.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 
 #include "net/packet.h"
 #include "net/types.h"
+#include "sim/time.h"
+
+namespace presto::telemetry {
+struct DropProbes;
+}
 
 namespace presto::net {
 
 /// Marks a node id as naming a host rather than a switch.
 inline constexpr std::uint32_t kHostNodeBit = 0x8000'0000u;
 
-/// Why a frame ceased to exist. Mirrors telemetry::DropCause but adds the
-/// serialize-time link-down case (a frame already queued when the port went
-/// down) and the host-side ring overflow.
+/// Why a frame ceased to exist: the one drop vocabulary of the simulator.
+/// PortCounters, the telemetry probes (counters, trace `a` operand, spans),
+/// the fabric PortMonitor and the WireTap all index or report by it.
 enum class TapDropCause : std::uint8_t {
   kQueueFull,    ///< Drop-tail: queue byte cap exceeded at enqueue.
   kLinkDown,     ///< Port down (or unconnected) at enqueue time.
@@ -34,6 +41,11 @@ enum class TapDropCause : std::uint8_t {
   kNoRoute,      ///< No forwarding entry matched at a switch.
   kHostRing,     ///< Receive-ring overflow (receive-livelock protection).
 };
+
+/// Number of TapDropCause values (size of every per-cause array).
+inline constexpr std::size_t kTapDropCauses = 7;
+static_assert(static_cast<std::size_t>(TapDropCause::kHostRing) + 1 ==
+              kTapDropCauses);
 
 const char* tap_drop_cause_name(TapDropCause c);
 
@@ -73,6 +85,13 @@ class WireTap {
     (void)host; (void)p;
   }
 };
+
+/// The drop fan-out shared by every drop site (port, switch, host): the
+/// checker tap, the per-cause counter, the trace event and the sampled span.
+/// `probes` and `tap` may be null; `node`/`port` name the dropping site.
+void record_drop(const telemetry::DropProbes* probes, WireTap* tap,
+                 sim::Time now, std::uint32_t node, PortId port,
+                 const Packet& p, TapDropCause cause);
 
 inline const char* tap_drop_cause_name(TapDropCause c) {
   switch (c) {

@@ -2,7 +2,7 @@
 // (DESIGN.md §15.1).
 //
 // A SwitchMonitor owns one PortMonitor per output port. TxPort calls the
-// three inline hooks below from its existing enqueue/dequeue/drop paths
+// three inline hooks below from its enqueued/departed/dropped fan-outs
 // behind a single null check, so the disabled cost is one predictable
 // branch and the enabled cost is a handful of integer ops (bounded-array
 // counter bumps, two compares for the high-watermark and microburst state,
@@ -27,7 +27,6 @@
 #include "stats/ddsketch.h"
 #include "telemetry/fabric/config.h"
 #include "telemetry/fabric/report.h"
-#include "telemetry/trace.h"
 
 namespace presto::telemetry::fabric {
 
@@ -47,9 +46,8 @@ class PortMonitor {
  public:
   /// Called by TxPort after a successful enqueue. `depth_after` is the
   /// queue occupancy in bytes including this frame.
-  void on_enqueue(std::uint32_t bytes, std::uint64_t depth_after,
-                  std::uint32_t bucket, sim::Time now) {
-    (void)bytes;
+  void on_enqueue(std::uint64_t depth_after, std::uint32_t bucket,
+                  sim::Time now) {
     depth_ = depth_after;
     if (depth_after > hwm_live_) hwm_live_ = depth_after;
     if (in_burst_) {
@@ -87,10 +85,8 @@ class PortMonitor {
 
   /// Called by TxPort for every counted drop (enqueue reject, link-down at
   /// serialization, loss-model/corruption eat).
-  void on_drop(std::uint32_t bytes, std::uint32_t bucket, DropCause cause) {
-    (void)bytes;
-    const auto c = static_cast<std::size_t>(cause);
-    if (c < kDropCauses) ++r_.drops[c];
+  void on_drop(std::uint32_t bucket, net::TapDropCause cause) {
+    ++r_.drops[static_cast<std::size_t>(cause)];
     ++labels_[bucket].drop_packets;
   }
 
@@ -178,10 +174,9 @@ class SwitchMonitor {
   std::size_t port_count() const { return ports_.size(); }
   std::uint32_t switch_id() const { return id_; }
 
-  /// Switch-level drop: no forwarding entry matched (telemetry::DropCause
+  /// Switch-level drop: no forwarding entry matched (net::TapDropCause
   /// kNoRoute, not attributable to an output port).
-  void on_no_route(std::uint32_t bytes, std::uint32_t bucket) {
-    (void)bytes;
+  void on_no_route(std::uint32_t bucket) {
     ++no_route_drops_;
     ++label_no_route_[bucket];
   }

@@ -13,6 +13,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "net/tap.h"
 #include "sim/time.h"
 #include "stats/ddsketch.h"
 
@@ -23,15 +24,13 @@ namespace presto::telemetry::fabric {
 inline constexpr std::size_t kLabelBuckets = 17;
 inline constexpr std::uint32_t kNonLabelBucket = 16;
 
-/// Drop causes tracked per port (indices match telemetry::DropCause).
-inline constexpr std::size_t kDropCauses = 5;
-
 /// One output port's cumulative state.
 struct PortReport {
   std::uint64_t tx_packets = 0;
   std::uint64_t tx_bytes = 0;
   std::uint64_t enqueued_packets = 0;
-  std::array<std::uint64_t, kDropCauses> drops{};  ///< by telemetry::DropCause
+  /// Drops by net::TapDropCause.
+  std::array<std::uint64_t, net::kTapDropCauses> drops{};
 
   /// Raw high-watermark over the whole run and the per-flush decayed one.
   std::uint64_t queue_hwm_bytes = 0;

@@ -13,6 +13,7 @@
 #include <cstdint>
 #include <memory>
 
+#include "net/tap.h"
 #include "net/types.h"
 #include "sim/time.h"
 #include "telemetry/fabric/config.h"
@@ -67,25 +68,25 @@ struct LabelFlight {
   }
 };
 
-/// net::TxPort — queue occupancy and drops by cause.
-struct PortProbes {
-  Counter* enqueued = nullptr;
-  Counter* drop_queue_full = nullptr;
-  Counter* drop_link_down = nullptr;
-  Counter* drop_loss_model = nullptr;  ///< degraded-link burst loss
-  Counter* drop_corrupt = nullptr;     ///< random corruption drops
-  Histogram* queue_depth_bytes = nullptr;  ///< sampled after each enqueue
+/// What every drop site records besides its own counters and the fabric
+/// monitor: one counter per net::TapDropCause (null where the site never
+/// drops for that cause; kLinkDownTx shares kLinkDown's counter), the event
+/// trace and the span tracer. net::record_drop is their one writer.
+struct DropProbes {
+  std::array<Counter*, net::kTapDropCauses> drop{};
   Tracer* tracer = nullptr;
   SpanTracer* spans = nullptr;
+};
+
+/// net::TxPort — queue occupancy and drops by cause.
+struct PortProbes : DropProbes {
+  Counter* enqueued = nullptr;
+  Histogram* queue_depth_bytes = nullptr;  ///< sampled after each enqueue
   LabelFlight* label_flight = nullptr;
 };
 
-/// net::Switch — forwarding-table misses.
-struct SwitchProbes {
-  Counter* drop_no_route = nullptr;
-  Tracer* tracer = nullptr;
-  SpanTracer* spans = nullptr;
-};
+/// net::Switch — forwarding-table misses (drop[kNoRoute]).
+struct SwitchProbes : DropProbes {};
 
 /// core::FlowcellEngine — cell creation, label spread, and path suspicion.
 struct FlowcellProbes {

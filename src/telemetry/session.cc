@@ -25,14 +25,24 @@ Session::Session(const TelemetryConfig& cfg) {
   tcp_.spans = sp;
 
   port_.enqueued = &registry_.counter("net.port.enqueued_packets");
-  port_.drop_queue_full = &registry_.counter("net.port.dropped.queue_full");
-  port_.drop_link_down = &registry_.counter("net.port.dropped.link_down");
-  port_.drop_loss_model = &registry_.counter("net.port.dropped.loss_model");
-  port_.drop_corrupt = &registry_.counter("net.port.dropped.corrupt");
+  // Drop counters are named after the cause: net.port.dropped.queue_full,
+  // .link_down, .loss_model, .corrupt and net.switch.dropped.no_route. A
+  // frame lost under a link that went down while it was queued counts as
+  // link_down.
+  using net::TapDropCause;
+  const auto at = [](TapDropCause c) { return static_cast<std::size_t>(c); };
+  for (TapDropCause c : {TapDropCause::kQueueFull, TapDropCause::kLinkDown,
+                         TapDropCause::kLossModel, TapDropCause::kCorrupt}) {
+    port_.drop[at(c)] = &registry_.counter(std::string("net.port.dropped.") +
+                                           net::tap_drop_cause_name(c));
+  }
+  port_.drop[at(TapDropCause::kLinkDownTx)] =
+      port_.drop[at(TapDropCause::kLinkDown)];
   port_.queue_depth_bytes = &registry_.histogram("net.port.queue_depth_bytes");
   port_.tracer = tr;
 
-  switch_.drop_no_route = &registry_.counter("net.switch.dropped.no_route");
+  switch_.drop[at(TapDropCause::kNoRoute)] =
+      &registry_.counter("net.switch.dropped.no_route");
   switch_.tracer = tr;
 
   flowcell_.cells = &registry_.counter("core.flowcell.cells");

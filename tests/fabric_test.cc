@@ -37,12 +37,12 @@ TEST(PortMonitor, CountsDropsAndHighWatermark) {
   mon.add_port(10e9);
   PortMonitor* p = mon.port(0);
 
-  p->on_enqueue(500, 500, 2, 10);
-  p->on_enqueue(400, 900, 2, 20);
+  p->on_enqueue(500, 2, 10);
+  p->on_enqueue(900, 2, 20);
   p->on_tx(500, 400, 2, 30);
-  p->on_drop(300, 2, DropCause::kQueueFull);
-  p->on_drop(300, 5, DropCause::kLossModel);
-  mon.on_no_route(200, 2);
+  p->on_drop(2, net::TapDropCause::kQueueFull);
+  p->on_drop(5, net::TapDropCause::kLossModel);
+  mon.on_no_route(2);
 
   EXPECT_EQ(p->queue_hwm_bytes(), 900u);
   const TelemetryReport r = mon.snapshot(1000);
@@ -54,8 +54,11 @@ TEST(PortMonitor, CountsDropsAndHighWatermark) {
   EXPECT_EQ(r.ports[0].tx_packets, 1u);
   EXPECT_EQ(r.ports[0].tx_bytes, 500u);
   EXPECT_EQ(r.ports[0].queue_hwm_bytes, 900u);
-  EXPECT_EQ(r.ports[0].drops[static_cast<int>(DropCause::kQueueFull)], 1u);
-  EXPECT_EQ(r.ports[0].drops[static_cast<int>(DropCause::kLossModel)], 1u);
+  const auto drops = [&r](net::TapDropCause c) {
+    return r.ports[0].drops[static_cast<std::size_t>(c)];
+  };
+  EXPECT_EQ(drops(net::TapDropCause::kQueueFull), 1u);
+  EXPECT_EQ(drops(net::TapDropCause::kLossModel), 1u);
   EXPECT_EQ(r.labels[2].tx_packets, 1u);
   EXPECT_EQ(r.labels[2].tx_bytes, 500u);
   // Port drop on bucket 2 + the switch-level no-route drop on bucket 2.
@@ -71,12 +74,12 @@ TEST(PortMonitor, MicroburstEpisodeTracksDurationAndPeak) {
   mon.add_port(10e9);
   PortMonitor* p = mon.port(0);
 
-  p->on_enqueue(500, 500, 0, 100);   // below threshold: no burst
-  p->on_enqueue(700, 1200, 0, 200);  // crosses: burst opens at 200
-  p->on_enqueue(400, 1600, 0, 300);  // peak 1600
+  p->on_enqueue(500, 0, 100);   // below threshold: no burst
+  p->on_enqueue(1200, 0, 200);  // crosses: burst opens at 200
+  p->on_enqueue(1600, 0, 300);  // peak 1600
   p->on_tx(500, 1100, 0, 400);       // still above threshold
   p->on_tx(700, 400, 0, 500);        // closes: duration 300, peak 1600
-  p->on_enqueue(300, 700, 0, 600);   // below: no new burst
+  p->on_enqueue(700, 0, 600);   // below: no new burst
 
   const TelemetryReport r = mon.snapshot(1000);
   EXPECT_EQ(r.ports[0].microburst_episodes, 1u);
@@ -92,14 +95,14 @@ TEST(PortMonitor, UtilizationEwmaOverWindows) {
   PortMonitor* p = mon.port(0);
 
   // Window 1 (0..1000 ns, capacity 1000 B): 500 B sent -> util 0.5.
-  p->on_enqueue(500, 500, 0, 10);
+  p->on_enqueue(500, 0, 10);
   p->on_tx(500, 0, 0, 600);
   TelemetryReport r = mon.snapshot(1000);
   EXPECT_NEAR(r.ports[0].util_ewma, 0.5, 1e-9);
 
   // Window 2 (1000..2000 ns): 1000 B sent -> inst 1.0,
   // ewma = 0.5 * 1.0 + 0.5 * 0.5 = 0.75.
-  p->on_enqueue(1000, 1000, 0, 1100);
+  p->on_enqueue(1000, 0, 1100);
   p->on_tx(1000, 0, 0, 1900);
   r = mon.snapshot(2000);
   EXPECT_NEAR(r.ports[0].util_ewma, 0.75, 1e-9);

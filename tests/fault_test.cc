@@ -112,7 +112,8 @@ net::Packet frame() {
 TEST(LossModel, BadStateEatsEverythingAndCountsDrops) {
   sim::Simulation sim;
   CountingSink sink;
-  net::TxPort port(sim, net::LinkConfig{});
+  net::Switch sw(sim, 0, "s0");
+  net::TxPort& port = sw.port(sw.add_port(net::LinkConfig{}));
   port.connect(&sink, 0);
   net::LossModel m;
   m.p_gb = 1.0;  // first transition lands in Bad and stays: loss_bad = 1
@@ -124,6 +125,9 @@ TEST(LossModel, BadStateEatsEverythingAndCountsDrops) {
   EXPECT_EQ(sink.received, 0u);
   EXPECT_EQ(port.counters().loss_model_drops, 50u);
   EXPECT_EQ(port.counters().dropped_packets, 50u);
+  // The switch total carries the per-cause fields too.
+  EXPECT_EQ(sw.total_counters().loss_model_drops, 50u);
+  EXPECT_EQ(sw.total_counters().dropped_packets, 50u);
 
   port.clear_loss_model();
   EXPECT_FALSE(port.degraded());
