@@ -27,7 +27,7 @@ int main(int argc, char** argv) {
     // The flowcell threshold lives in the sender LB config; Experiment
     // constructs FlowcellEngine from the host template, so override the
     // segment size the TCP stack emits as well when below 64 KB.
-    cfg.flowcell_bytes = kb * 1024;
+    cfg.lb.flowcell_bytes = kb * 1024;
     json.set_point("flowcell=" + std::to_string(kb) + "KB",
                    {{"flowcell_kb", static_cast<double>(kb)}});
     const MultiRun r = run_seeds(cfg, stride_factory(16, 8), opt);

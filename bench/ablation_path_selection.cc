@@ -34,7 +34,7 @@ int main(int argc, char** argv) {
   for (const Variant& v : variants) {
     harness::ExperimentConfig cfg;
     cfg.scheme = harness::Scheme::kPresto;
-    cfg.flowcell_random_selection = v.random_selection;
+    cfg.lb.flowcell_random_selection = v.random_selection;
     cfg.host.presto_gro.beta = v.beta;
     json.set_point(v.name);
     const MultiRun r = run_seeds(cfg, stride_factory(16, 8), opt);

@@ -14,9 +14,11 @@
 // lone 50 KB mice flow splits into 4-5 flowlets.
 
 #include <algorithm>
+#include <map>
 
 #include "bench_util.h"
 #include "lb/flowlet_lb.h"
+#include "net/tap.h"
 
 using namespace presto;
 using namespace presto::bench;
@@ -25,11 +27,47 @@ namespace {
 
 constexpr std::uint64_t kTransferBytes = 50'000'000;
 
+/// Flowlet sizes of one flow, measured where the sender's uplink is handed
+/// each frame: payload bytes summed per flowlet index (the policy stamps it
+/// as the flowcell id). Frames the uplink rejects count too, as do
+/// zero-payload ones, so every flowlet the policy opened appears.
+class FlowletSizeTap final : public net::WireTap {
+ public:
+  explicit FlowletSizeTap(const net::FlowKey& flow) : flow_(flow) {}
+
+  void on_port_enqueue(std::uint32_t, net::PortId,
+                       const net::Packet& p) override {
+    add(p);
+  }
+  void on_drop(std::uint32_t, net::PortId, const net::Packet& p,
+               net::TapDropCause cause) override {
+    // Only enqueue-time rejections: later drops were counted on enqueue.
+    if (cause == net::TapDropCause::kQueueFull ||
+        cause == net::TapDropCause::kLinkDown) {
+      add(p);
+    }
+  }
+
+  std::vector<std::uint64_t> sizes() const {
+    std::vector<std::uint64_t> out;
+    for (const auto& [id, bytes] : bytes_) out.push_back(bytes);
+    return out;
+  }
+
+ private:
+  void add(const net::Packet& p) {
+    if (p.flow == flow_) bytes_[p.flowcell_id] += p.payload;
+  }
+
+  net::FlowKey flow_;
+  std::map<std::uint64_t, std::uint64_t> bytes_;  ///< flowlet id -> bytes
+};
+
 std::vector<std::uint64_t> measure_flowlets(int competing, sim::Time gap,
                                             std::uint64_t* mice_flowlets) {
   harness::ExperimentConfig cfg;
   cfg.scheme = harness::Scheme::kFlowlet;
-  cfg.flowlet_gap = gap;
+  cfg.lb.flowlet_gap = gap;
   cfg.spines = 1;
   cfg.leaves = 1;
   cfg.hosts_per_leaf = 10;  // sender, receiver, up to 8 competitors
@@ -37,6 +75,8 @@ std::vector<std::uint64_t> measure_flowlets(int competing, sim::Time gap,
   harness::Experiment ex(cfg);
 
   const net::HostId sender = 0, receiver = 9;
+  FlowletSizeTap tap(net::FlowKey{sender, receiver, 10000, 80});
+  ex.host(sender).set_tap(&tap);
   bool done = false;
   auto& transfer = ex.add_elephant(sender, receiver, kTransferBytes,
                                    [&done](sim::Time) { done = true; });
@@ -58,14 +98,11 @@ std::vector<std::uint64_t> measure_flowlets(int competing, sim::Time gap,
     ex.sim().run_until(ex.sim().now() + 10 * sim::kMillisecond);
   }
 
-  auto* lb = dynamic_cast<lb::FlowletLb*>(ex.host(sender).lb());
-  const net::FlowKey transfer_flow{sender, receiver, 10000, 80};
-  auto sizes = lb->flowlet_sizes(transfer_flow);
   if (mice_flowlets != nullptr) {
     auto* mice_lb = dynamic_cast<lb::FlowletLb*>(ex.host(mice_src).lb());
     *mice_flowlets = mice_lb->flowlet_count(mice_flow);
   }
-  return sizes;
+  return tap.sizes();
 }
 
 }  // namespace

@@ -35,7 +35,7 @@ int main(int argc, char** argv) {
   for (const Variant& v : variants) {
     harness::ExperimentConfig cfg;
     cfg.scheme = v.scheme;
-    if (v.gap > 0) cfg.flowlet_gap = v.gap;
+    if (v.gap > 0) cfg.lb.flowlet_gap = v.gap;
     json.set_point(v.name,
                    {{"flowlet_gap_us", static_cast<double>(v.gap) / 1000.0}});
     results.push_back(run_seeds(cfg, stride_factory(16, 8), opt));

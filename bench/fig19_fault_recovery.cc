@@ -29,7 +29,7 @@ FaultRun run_flap(bool suspicion, std::uint64_t seed, bool telemetry,
   harness::ExperimentConfig cfg;
   cfg.scheme = harness::Scheme::kPresto;
   cfg.seed = seed;
-  cfg.edge_suspicion = suspicion;
+  cfg.lb.edge_suspicion = suspicion;
   cfg.telemetry.metrics = telemetry;
   if (telemetry) {
     // JSON runs carry the in-fabric telemetry plane: the flapping link's
@@ -159,7 +159,7 @@ int main(int argc, char** argv) {
       agg.avg_tput_gbps = avg.fault_gbps;
       harness::ExperimentConfig cfg;
       cfg.scheme = harness::Scheme::kPresto;
-      cfg.edge_suspicion = suspicion;
+      cfg.lb.edge_suspicion = suspicion;
       json.set_point(name, {{"pre_gbps", avg.pre_gbps},
                             {"fault_gbps", avg.fault_gbps},
                             {"recovery_ms", avg.recovery_ms},

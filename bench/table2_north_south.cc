@@ -35,7 +35,6 @@ NsResult run_ns(harness::Scheme scheme, std::uint64_t seed, bool telemetry) {
   cfg.seed = seed;
   cfg.telemetry.metrics = telemetry;
   cfg.remote_users_per_spine = 1;
-  cfg.remote_link_rate_bps = 100e6;
   harness::Experiment ex(cfg);
   sim::Rng rng = ex.fork_rng();
 

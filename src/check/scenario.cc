@@ -7,8 +7,11 @@
 #include <cstring>
 #include <memory>
 #include <stdexcept>
+#include <unordered_map>
 #include <utility>
 
+#include "core/label_map.h"
+#include "lb/sender_lb.h"
 #include "net/topology.h"
 #include "sim/rng.h"
 #include "workload/apps.h"
@@ -64,17 +67,62 @@ class EatingSink final : public net::PacketSink {
   std::shared_ptr<EaterState> st_;
 };
 
+/// Sprinklers minus the ACK gate: rotates the label every 8 KB of payload
+/// with bytes still in flight, so consecutive stripes of one flow ride
+/// different paths concurrently and overtake each other whenever path
+/// latencies diverge (asymmetric link speeds make this near-certain).
+class StripeLb final : public lb::SenderLb {
+ public:
+  StripeLb(const core::LabelMap& labels, std::uint64_t seed)
+      : labels_(labels), seed_(seed) {}
+
+  void on_segment(net::Packet& seg) override {
+    const auto* sched = labels_.schedule(seg.dst_host);
+    if (sched == nullptr) return;
+    auto [it, fresh] = flows_.try_emplace(seg.flow);
+    FlowState& st = it->second;
+    if (fresh) st.base = lb::start_path(seg.flow, seed_, sched->size());
+    const std::uint64_t stripe = st.bytes / kStripeBytes;
+    st.bytes += seg.payload;
+    seg.dst_mac = (*sched)[(st.base + stripe) % sched->size()];
+    seg.flowcell_id = stripe + 1;
+  }
+
+ private:
+  static constexpr std::uint64_t kStripeBytes = 8 * 1024;
+  struct FlowState {
+    std::size_t base = 0;
+    std::uint64_t bytes = 0;
+  };
+
+  const core::LabelMap& labels_;
+  std::uint64_t seed_;
+  std::unordered_map<net::FlowKey, FlowState, net::FlowKeyHash> flows_;
+};
+
 /// Plants a scenario's test-only defect and returns the sinks it wired in.
 /// "eat:N" silently destroys the Nth data frame sent by any switch port —
 /// no counter, no telemetry, no tap — which is exactly the class of
 /// accounting bug the conservation oracle exists to catch. "eat@<T>us:N" is
 /// the slow-burn variant: the eater stays dormant until the simulated clock
 /// reaches T, then destroys the Nth data frame it sees (the soak tier's
-/// acceptance bug — invisible through every epoch before T).
+/// acceptance bug — invisible through every epoch before T). "stripe"
+/// replaces every server's sender policy with StripeLb, which breaks the
+/// in-order claim of a reordering_free scheme (the ordering oracle's
+/// planted violation).
 std::vector<std::unique_ptr<net::PacketSink>> install_bug(
     harness::Experiment& ex, const std::string& bug) {
   std::vector<std::unique_ptr<net::PacketSink>> sinks;
   if (bug.empty()) return sinks;
+  if (bug == "stripe") {
+    for (net::HostId h : ex.servers()) {
+      // Seeded as Experiment seeds the scheme's own policy on host h.
+      ex.host(h).set_lb(std::make_unique<StripeLb>(
+          ex.ctl().label_map(h),
+          net::mix64(ex.config().seed ^ (0x5151ULL + h))));
+    }
+    return sinks;
+  }
   if (bug.rfind("eat", 0) == 0) {
     const char* p = bug.c_str() + 3;
     sim::Time arm_at = 0;
@@ -132,7 +180,7 @@ harness::ExperimentConfig experiment_config(const Scenario& sc) {
   cfg.hosts_per_leaf = sc.hosts_per_leaf;
   cfg.gamma = sc.gamma;
   cfg.switch_buffer_bytes = sc.switch_buffer_bytes;
-  cfg.edge_suspicion = sc.edge_suspicion;
+  cfg.lb.edge_suspicion = sc.edge_suspicion;
   cfg.seed = sc.seed;
   cfg.fault_plan = sc.fault_plan();
   cfg.fault_seed = sc.seed | 1;  // pinned: shrinking must not reshuffle loss

@@ -23,8 +23,7 @@ namespace presto::check {
 
 /// Stable lowercase scheme ids used by the one-line spec and the soak
 /// manifest ("presto", "ecmp", ...). Thin aliases over the scheme
-/// registry's spec ids (lb/registry.h) — hidden schemes parse too, so a
-/// planted-violator repro spec replays verbatim.
+/// registry's spec ids (lb/registry.h).
 const char* scheme_spec_name(harness::Scheme s);
 bool parse_scheme_name(const std::string& id, harness::Scheme* out);
 
@@ -73,7 +72,9 @@ struct Scenario {
   /// conservation oracle's shrinker demo); "eat@100000us:12" is the same
   /// defect armed only once the simulated clock passes 100 ms — a slow-burn
   /// bug that stays invisible through early soak epochs (no spaces: the
-  /// value must survive the one-line spec round-trip). Empty = healthy.
+  /// value must survive the one-line spec round-trip). "stripe" swaps every
+  /// server's sender policy for ungated striping, which reorders (the
+  /// ordering oracle's demo on a reordering_free scheme). Empty = healthy.
   std::string bug;
 
   /// Joined fault plan as fed to ExperimentConfig::fault_plan.

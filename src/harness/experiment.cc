@@ -8,6 +8,25 @@
 
 namespace presto::harness {
 
+namespace {
+
+// Link and topology constants no experiment varies.
+constexpr sim::Time kLinkPropagation = 500 * sim::kNanosecond;
+/// kAsymClos: the first spine's fabric links run at 0.4x (the
+/// asymmetric-link-speed fabric).
+constexpr double kAsymRateScale = 0.4;
+constexpr std::uint32_t kAsymSlowSpines = 1;
+/// kOversubClos: 3-tier pod-uplink oversubscription ratio folded into the
+/// leaf-spine rate: fabric = link_rate * hosts_per_leaf / (spines * F).
+constexpr double kOversubFactor = 4.0;
+/// Host NIC/qdisc transmit queue — large, so hosts do not drop their own
+/// bursts (Linux qdisc default ~1000 packets plus TSQ backpressure).
+constexpr std::uint64_t kHostTxQueueBytes = 4 * 1024 * 1024;
+/// North-south remote users sit behind WAN-limited links (Table 2).
+constexpr double kRemoteLinkRateBps = 100e6;
+
+}  // namespace
+
 const char* scheme_name(Scheme s) { return lb::scheme_display_name(s); }
 
 Experiment::Experiment(ExperimentConfig cfg)
@@ -20,7 +39,7 @@ Experiment::Experiment(ExperimentConfig cfg)
   }
   net::LinkConfig link;
   link.rate_bps = cfg_.link_rate_bps;
-  link.propagation = cfg_.link_propagation;
+  link.propagation = kLinkPropagation;
   link.queue_bytes = cfg_.switch_buffer_bytes;
   net::TopoParams params;
   params.host_link = link;
@@ -41,8 +60,8 @@ Experiment::Experiment(ExperimentConfig cfg)
       case net::TopologyKind::kAsymClos:
         params.spine_rate_scale.assign(cfg_.spines, 1.0);
         for (std::uint32_t i = 0;
-             i < std::min(cfg_.asym_slow_spines, cfg_.spines); ++i) {
-          params.spine_rate_scale[i] = cfg_.asym_rate_scale;
+             i < std::min(kAsymSlowSpines, cfg_.spines); ++i) {
+          params.spine_rate_scale[i] = kAsymRateScale;
         }
         topo_ = net::make_clos(sim_, cfg_.spines, cfg_.leaves,
                                cfg_.hosts_per_leaf, params);
@@ -50,7 +69,7 @@ Experiment::Experiment(ExperimentConfig cfg)
       case net::TopologyKind::kOversubClos:
         params.fabric_link.rate_bps = cfg_.link_rate_bps *
                                       cfg_.hosts_per_leaf /
-                                      (cfg_.spines * cfg_.oversub_factor);
+                                      (cfg_.spines * kOversubFactor);
         topo_ = net::make_clos(sim_, cfg_.spines, cfg_.leaves,
                                cfg_.hosts_per_leaf, params);
         break;
@@ -62,7 +81,7 @@ Experiment::Experiment(ExperimentConfig cfg)
     // North-south remote users hang off the spines over WAN-limited links
     // (no spine tier on a mesh: the loop body never runs there).
     net::LinkConfig wan = link;
-    wan.rate_bps = cfg_.remote_link_rate_bps;
+    wan.rate_bps = kRemoteLinkRateBps;
     for (net::SwitchId spine : topo_->spines()) {
       for (std::uint32_t i = 0; i < cfg_.remote_users_per_spine; ++i) {
         topo_->add_host(spine, wan);
@@ -205,8 +224,7 @@ void Experiment::build_hosts() {
     hc.jitter_seed = net::mix64(cfg_.seed ^ (0xBEEF00ULL + h));
     hc.uplink = topo_->host(h).link;
     hc.uplink.queue_bytes =
-        std::max<std::uint64_t>(hc.uplink.queue_bytes,
-                                cfg_.host_tx_queue_bytes);
+        std::max<std::uint64_t>(hc.uplink.queue_bytes, kHostTxQueueBytes);
     const lb::SchemeInfo& scheme_info =
         lb::SchemeRegistry::instance().info(cfg_.scheme);
     const bool server = h < num_servers || scheme_info.single_switch;
@@ -250,19 +268,8 @@ std::unique_ptr<lb::SenderLb> Experiment::make_lb(net::HostId h) {
   lb::LbContext ctx;
   ctx.sim = &sim_;
   ctx.labels = &ctl_->label_map(h);
-  ctx.host = h;
   ctx.seed = net::mix64(cfg_.seed ^ (0x5151ULL + h));
-  ctx.tuning.flowlet_gap = cfg_.flowlet_gap;
-  ctx.tuning.flowcell_bytes = cfg_.flowcell_bytes;
-  ctx.tuning.flowcell_random_selection = cfg_.flowcell_random_selection;
-  ctx.tuning.path_suspicion = cfg_.edge_suspicion;
-  ctx.tuning.suspicion_hold = cfg_.suspicion_hold;
-  ctx.tuning.flowdyn_gap_factor = cfg_.flowdyn_gap_factor;
-  ctx.tuning.flowdyn_min_gap = cfg_.flowdyn_min_gap;
-  ctx.tuning.flowdyn_max_gap = cfg_.flowdyn_max_gap;
-  ctx.tuning.diffflow_threshold_bytes = cfg_.diffflow_threshold_bytes;
-  ctx.tuning.sprinklers_min_cells = cfg_.sprinklers_min_cells;
-  ctx.tuning.sprinklers_max_cells = cfg_.sprinklers_max_cells;
+  ctx.tuning = cfg_.lb;
   std::unique_ptr<lb::SenderLb> policy = lb::make_scheme_lb(cfg_.scheme, ctx);
   // Flowcell engines (presto / presto_ecmp) additionally feed the
   // experiment's telemetry session; the registry stays harness-agnostic, so

@@ -44,43 +44,16 @@ struct ExperimentConfig {
   std::uint32_t leaves = 4;
   std::uint32_t hosts_per_leaf = 4;
   std::uint32_t gamma = 1;
-  /// kAsymClos: rate multiplier on the fabric links of the first
-  /// `asym_slow_spines` spines (the asymmetric-link-speed fabric).
-  double asym_rate_scale = 0.4;
-  std::uint32_t asym_slow_spines = 1;
-  /// kOversubClos: 3-tier pod-uplink oversubscription ratio folded into the
-  /// leaf-spine rate: fabric = link_rate * hosts_per_leaf / (spines * F).
-  double oversub_factor = 4.0;
   double link_rate_bps = 10e9;
-  sim::Time link_propagation = 500 * sim::kNanosecond;
   std::uint64_t switch_buffer_bytes = 400 * 1024;
-  /// Host NIC/qdisc transmit queue — large, so hosts do not drop their own
-  /// bursts (Linux qdisc default ~1000 packets plus TSQ backpressure).
-  std::uint64_t host_tx_queue_bytes = 4 * 1024 * 1024;
 
   // North-south extension (Table 2): remote users attached to spines.
   std::uint32_t remote_users_per_spine = 0;
-  double remote_link_rate_bps = 100e6;
 
-  // Scheme parameters.
-  sim::Time flowlet_gap = 500 * sim::kMicrosecond;
+  // Scheme parameters: the sender-policy knobs, handed to the scheme
+  // registry's factory as they are.
+  lb::LbTuning lb;
   lb::MptcpConfig mptcp;
-  /// Flowcell threshold for Presto senders (ablation; paper uses 64 KB).
-  std::uint32_t flowcell_bytes = net::kMaxTsoBytes;
-  /// Ablation: random instead of round-robin label selection per flowcell.
-  bool flowcell_random_selection = false;
-  /// FlowDyn: gap = clamp(gap_factor * srtt_ewma, min, max); `flowlet_gap`
-  /// applies until the first RTT sample.
-  double flowdyn_gap_factor = 0.5;
-  sim::Time flowdyn_min_gap = 50 * sim::kMicrosecond;
-  sim::Time flowdyn_max_gap = 5 * sim::kMillisecond;
-  /// DiffFlow: flows beyond this many carried bytes are sprayed as
-  /// flowcells; below it they keep their hashed ECMP path.
-  std::uint64_t diffflow_threshold_bytes = 100 * 1024;
-  /// Sprinklers: hashed stripe sizes span the powers of two in
-  /// [min_cells, max_cells] flowcells.
-  std::uint32_t sprinklers_min_cells = 1;
-  std::uint32_t sprinklers_max_cells = 8;
 
   // Host template (gro is overridden per scheme unless `force_gro` is set).
   host::HostConfig host;
@@ -94,12 +67,6 @@ struct ExperimentConfig {
   /// Dedicated fault RNG stream; 0 derives it from `seed` so sweeps vary
   /// loss patterns with the workload seed unless pinned explicitly.
   std::uint64_t fault_seed = 0;
-
-  /// Edge graceful degradation: Presto senders track per-label loss/timeout
-  /// suspicion and steer flowcells off suspect labels (beyond-paper; only
-  /// meaningful for kPresto).
-  bool edge_suspicion = false;
-  sim::Time suspicion_hold = 5 * sim::kMillisecond;
 
   /// Telemetry switches. Off by default: the probes cost nothing when no
   /// Session exists (every component holds a null probe pointer).

@@ -36,8 +36,7 @@ class DiffFlowLb final : public SenderLb {
     FlowState& st = flows_[seg.flow];
     if (!st.initialized) {
       st.initialized = true;
-      st.hash_cursor = static_cast<std::size_t>(
-          net::mix64(seg.flow.hash() ^ seed_) % sched->size());
+      st.hash_cursor = start_path(seg.flow, seed_, sched->size());
       // Spraying starts from the hashed slot, so the first sprayed cell
       // continues the mice path and the transition never jumps backwards.
       st.spray_cursor = st.hash_cursor;

@@ -31,6 +31,15 @@ class EcmpLb final : public SenderLb {
     seg.dst_mac = it->second;
   }
 
+  void digest_state(sim::Digest& d) const override {
+    for (const auto& [flow, mac] : path_) {
+      sim::Digest sub;
+      sub.mix(flow.hash());
+      sub.mix(mac);
+      d.mix_unordered(sub.value());
+    }
+  }
+
  private:
   const core::LabelMap& labels_;
   sim::Rng rng_;

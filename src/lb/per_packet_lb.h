@@ -26,14 +26,23 @@ class PerPacketLb final : public SenderLb {
     FlowState& st = flows_[pkt.flow];
     if (!st.initialized) {
       st.initialized = true;
-      st.cursor = static_cast<std::size_t>(
-          net::mix64(pkt.flow.hash() ^ seed_) % sched->size());
+      st.cursor = start_path(pkt.flow, seed_, sched->size());
     }
     pkt.dst_mac = (*sched)[st.cursor % sched->size()];
     st.cursor = st.cursor + 1;
     // Every packet is its own "flowcell": receivers running Presto GRO would
     // see pathological boundaries, which is the point of the ablation.
     pkt.flowcell_id = ++st.packet_index;
+  }
+
+  void digest_state(sim::Digest& d) const override {
+    for (const auto& [flow, st] : flows_) {
+      sim::Digest sub;
+      sub.mix(flow.hash());
+      sub.mix(st.cursor);
+      sub.mix(st.packet_index);
+      d.mix_unordered(sub.value());
+    }
   }
 
  private:

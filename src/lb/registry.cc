@@ -3,11 +3,9 @@
 #include "core/flowcell_engine.h"
 #include "lb/diffflow_lb.h"
 #include "lb/ecmp_lb.h"
-#include "lb/flowdyn_lb.h"
 #include "lb/flowlet_lb.h"
 #include "lb/per_packet_lb.h"
 #include "lb/sprinklers_lb.h"
-#include "lb/wild_stripe_lb.h"
 
 namespace presto::lb {
 
@@ -21,8 +19,7 @@ std::unique_ptr<SenderLb> make_presto(const LbContext& ctx, bool per_hop) {
     fc.per_hop_ecmp = true;
   } else {
     fc.random_selection = ctx.tuning.flowcell_random_selection;
-    fc.path_suspicion = ctx.tuning.path_suspicion;
-    fc.suspicion_hold = ctx.tuning.suspicion_hold;
+    fc.path_suspicion = ctx.tuning.edge_suspicion;
   }
   auto engine = std::make_unique<core::FlowcellEngine>(*ctx.labels, fc);
   engine->set_clock(ctx.sim);
@@ -87,8 +84,12 @@ SchemeRegistry::SchemeRegistry() {
     s.display = "Flowlet";
     s.differential_ok = true;
     s.factory = [](const LbContext& ctx) -> std::unique_ptr<SenderLb> {
-      return std::make_unique<FlowletLb>(*ctx.sim, *ctx.labels,
-                                         ctx.tuning.flowlet_gap, ctx.seed);
+      // One fixed inactivity timer: the RTT-tracked gap clamps to it.
+      const sim::Time gap = ctx.tuning.flowlet_gap;
+      return std::make_unique<FlowletLb>(
+          *ctx.sim, *ctx.labels,
+          FlowletLb::Config{.default_gap = gap, .min_gap = gap, .max_gap = gap},
+          ctx.seed);
     };
     add(std::move(s));
   }
@@ -123,12 +124,9 @@ SchemeRegistry::SchemeRegistry() {
     s.display = "FlowDyn";
     s.differential_ok = true;
     s.factory = [](const LbContext& ctx) -> std::unique_ptr<SenderLb> {
-      FlowDynLb::Config cfg;
-      cfg.default_gap = ctx.tuning.flowlet_gap;
-      cfg.gap_factor = ctx.tuning.flowdyn_gap_factor;
-      cfg.min_gap = ctx.tuning.flowdyn_min_gap;
-      cfg.max_gap = ctx.tuning.flowdyn_max_gap;
-      return std::make_unique<FlowDynLb>(*ctx.sim, *ctx.labels, cfg, ctx.seed);
+      return std::make_unique<FlowletLb>(
+          *ctx.sim, *ctx.labels,
+          FlowletLb::Config{.default_gap = ctx.tuning.flowlet_gap}, ctx.seed);
     };
     add(std::move(s));
   }
@@ -141,7 +139,6 @@ SchemeRegistry::SchemeRegistry() {
     s.differential_ok = true;
     s.factory = [](const LbContext& ctx) -> std::unique_ptr<SenderLb> {
       DiffFlowLb::Config cfg;
-      cfg.threshold_bytes = ctx.tuning.diffflow_threshold_bytes;
       cfg.cell_bytes = ctx.tuning.flowcell_bytes;
       return std::make_unique<DiffFlowLb>(*ctx.labels, cfg, ctx.seed);
     };
@@ -157,22 +154,7 @@ SchemeRegistry::SchemeRegistry() {
     s.factory = [](const LbContext& ctx) -> std::unique_ptr<SenderLb> {
       SprinklersLb::Config cfg;
       cfg.cell_bytes = ctx.tuning.flowcell_bytes;
-      cfg.min_cells = ctx.tuning.sprinklers_min_cells;
-      cfg.max_cells = ctx.tuning.sprinklers_max_cells;
       return std::make_unique<SprinklersLb>(*ctx.labels, cfg, ctx.seed);
-    };
-    add(std::move(s));
-  }
-  {
-    SchemeInfo s;
-    s.id = Scheme::kWildStripe;
-    s.spec_name = "wild_stripe";
-    s.display = "WildStripe";
-    s.reordering_free = true;  // the *claim* the planted test disproves
-    s.hidden = true;
-    s.factory = [](const LbContext& ctx) -> std::unique_ptr<SenderLb> {
-      return std::make_unique<WildStripeLb>(*ctx.labels, WildStripeLb::Config{},
-                                            ctx.seed);
     };
     add(std::move(s));
   }
@@ -194,18 +176,10 @@ const SchemeInfo* SchemeRegistry::find(std::string_view spec_name) const {
   return nullptr;
 }
 
-std::vector<const SchemeInfo*> SchemeRegistry::visible() const {
-  std::vector<const SchemeInfo*> out;
-  for (const SchemeInfo& s : infos_) {
-    if (!s.hidden) out.push_back(&s);
-  }
-  return out;
-}
-
 std::vector<Scheme> SchemeRegistry::differential_schemes() const {
   std::vector<Scheme> out;
   for (const SchemeInfo& s : infos_) {
-    if (s.differential_ok && !s.hidden) out.push_back(s.id);
+    if (s.differential_ok) out.push_back(s.id);
   }
   return out;
 }

@@ -16,7 +16,6 @@
 
 #include "lb/sender_lb.h"
 #include "net/packet.h"
-#include "net/types.h"
 #include "sim/simulation.h"
 #include "sim/time.h"
 
@@ -40,8 +39,6 @@ enum class Scheme {
   kFlowDyn,     ///< Flowlet switching with an RTT-tracking dynamic gap.
   kDiffFlow,    ///< Mice on ECMP, elephants sprayed as flowcells.
   kSprinklers,  ///< Randomized variable-size striping, reordering-free.
-  kWildStripe,  ///< Hidden: ungated striping that *does* reorder (oracle
-                ///< planted-violation test only).
 };
 
 /// Receiver-side offload a scheme expects. The harness maps this onto
@@ -51,33 +48,27 @@ enum class RxOffload {
   kPrestoGro,    ///< Flowcell-aware Presto GRO (§3.2).
 };
 
-/// Scheme tuning knobs forwarded from ExperimentConfig. Defaults mirror
-/// ExperimentConfig so direct factory users get the paper's settings.
+/// The scheme knobs experiments vary; ExperimentConfig embeds one as `lb`.
+/// Every other policy parameter lives only in its policy's own Config
+/// defaults (FlowletLb, DiffFlowLb, SprinklersLb, core::FlowcellConfig).
 struct LbTuning {
+  /// Flowlet inactivity timer; FlowDyn's gap until the first RTT sample.
   sim::Time flowlet_gap = 500 * sim::kMicrosecond;
+  /// Flowcell size (Presto, DiffFlow) and Sprinklers' stripe unit; the
+  /// paper uses 64 KB.
   std::uint32_t flowcell_bytes = net::kMaxTsoBytes;
+  /// Ablation: random instead of round-robin label selection per flowcell.
   bool flowcell_random_selection = false;
-  bool path_suspicion = false;
-  sim::Time suspicion_hold = 5 * sim::kMillisecond;
-  /// FlowDyn: gap = clamp(gap_factor * srtt_ewma, min_gap, max_gap);
-  /// `flowlet_gap` serves as the gap until the first RTT sample lands.
-  double flowdyn_gap_factor = 0.5;
-  sim::Time flowdyn_min_gap = 50 * sim::kMicrosecond;
-  sim::Time flowdyn_max_gap = 5 * sim::kMillisecond;
-  /// DiffFlow: flows stay on their ECMP path until they have carried this
-  /// many bytes; beyond it they are sprayed as flowcells.
-  std::uint64_t diffflow_threshold_bytes = 100 * 1024;
-  /// Sprinklers: per-(flow, stripe) hashed stripe sizes, in flowcells,
-  /// drawn from the powers of two in [min_cells, max_cells].
-  std::uint32_t sprinklers_min_cells = 1;
-  std::uint32_t sprinklers_max_cells = 8;
+  /// Edge graceful degradation: Presto senders track per-label loss/timeout
+  /// suspicion and steer flowcells off suspect labels (beyond-paper; only
+  /// meaningful for kPresto).
+  bool edge_suspicion = false;
 };
 
 /// Everything a scheme factory may need to build one host's sender policy.
 struct LbContext {
   sim::Simulation* sim = nullptr;
   const core::LabelMap* labels = nullptr;
-  net::HostId host = 0;
   std::uint64_t seed = 1;  ///< Per-host derived seed.
   LbTuning tuning;
 };
@@ -101,9 +92,6 @@ struct SchemeInfo {
   /// Eligible for lock-step differential soaks (comparable delivered-bytes
   /// trajectories on the same scenario).
   bool differential_ok = false;
-  /// Excluded from sweeps, CI matrices, and fuzz generation; reachable only
-  /// by explicit name (planted-violation schemes).
-  bool hidden = false;
   /// Builds the per-host sender policy; null for single-switch schemes
   /// (plain real-MAC forwarding needs no policy).
   std::function<std::unique_ptr<SenderLb>(const LbContext&)> factory;
@@ -119,10 +107,8 @@ class SchemeRegistry {
   const SchemeInfo* find(std::string_view spec_name) const;
   /// All rows in registration (= enum) order.
   const std::vector<SchemeInfo>& all() const { return infos_; }
-  /// Non-hidden rows in registration order (sweeps, CI matrices).
-  std::vector<const SchemeInfo*> visible() const;
-  /// Schemes eligible for lock-step differential soaks (non-hidden rows
-  /// with `differential_ok`).
+  /// Schemes eligible for lock-step differential soaks (rows with
+  /// `differential_ok`).
   std::vector<Scheme> differential_schemes() const;
 
  private:
@@ -135,7 +121,7 @@ const char* scheme_display_name(Scheme s);
 /// Stable spec token ("presto") — the historical scheme_spec_name.
 const char* scheme_spec_id(Scheme s);
 /// Parses a spec token; returns false and leaves `*out` untouched on an
-/// unknown name. Hidden schemes parse too (replay must reach them).
+/// unknown name.
 bool parse_scheme_id(std::string_view name, Scheme* out);
 
 /// Builds the sender policy for `scheme` (null for single-switch schemes).

@@ -15,6 +15,14 @@
 
 namespace presto::lb {
 
+/// Index of the path a new flow starts on among `paths` candidates: a
+/// per-flow hash salted by the host policy's seed, so flows of one host
+/// spread over the schedule without any shared state.
+inline std::size_t start_path(const net::FlowKey& flow, std::uint64_t seed,
+                              std::size_t paths) {
+  return static_cast<std::size_t>(net::mix64(flow.hash() ^ seed) % paths);
+}
+
 class SenderLb {
  public:
   virtual ~SenderLb() = default;

@@ -43,8 +43,7 @@ class SprinklersLb final : public SenderLb {
     FlowState& st = flows_[seg.flow];
     if (!st.initialized) {
       st.initialized = true;
-      st.cursor = static_cast<std::size_t>(
-          net::mix64(seg.flow.hash() ^ seed_) % sched->size());
+      st.cursor = start_path(seg.flow, seed_, sched->size());
       st.stripe_end_bytes = stripe_bytes(seg.flow, 0);
       st.label = (*sched)[st.cursor % sched->size()];
     }

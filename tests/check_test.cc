@@ -134,13 +134,11 @@ TEST(CheckScenario, TopoAndRivalSchemesRoundTripThroughTheSpec) {
 
 TEST(CheckScenario, GeneratorDrawsRivalSchemesAndTopologies) {
   // The fuzzer's scheme/topology coverage: within a modest seed range every
-  // rival scheme and every non-Clos topology kind must appear at least once
-  // (hidden schemes never).
+  // rival scheme and every non-Clos topology kind must appear at least once.
   bool flowdyn = false, diffflow = false, sprinklers = false;
   bool asym = false, oversub = false, mesh = false;
   for (std::uint64_t seed = 0; seed < 128; ++seed) {
     const Scenario sc = Scenario::generate(seed);
-    EXPECT_NE(sc.scheme, harness::Scheme::kWildStripe) << "seed " << seed;
     flowdyn = flowdyn || sc.scheme == harness::Scheme::kFlowDyn;
     diffflow = diffflow || sc.scheme == harness::Scheme::kDiffFlow;
     sprinklers = sprinklers || sc.scheme == harness::Scheme::kSprinklers;

@@ -398,7 +398,7 @@ TEST(FaultIntegration, EdgeSuspicionRescuesSilentGrayLink) {
     harness::ExperimentConfig cfg;
     cfg.scheme = harness::Scheme::kPresto;
     cfg.seed = 77;
-    cfg.edge_suspicion = suspicion;
+    cfg.lb.edge_suspicion = suspicion;
     cfg.telemetry.metrics = true;
     // leaf 0 is switch `spines`; p_gb=1, p_bg=0 pins the Gilbert-Elliott
     // chain in Bad (loss_bad defaults to 1): total loss, ports up.
@@ -436,7 +436,7 @@ std::pair<std::string, telemetry::Snapshot> faulted_traced_run(
   cfg.leaves = 2;
   cfg.hosts_per_leaf = 2;
   cfg.seed = seed;
-  cfg.edge_suspicion = true;
+  cfg.lb.edge_suspicion = true;
   cfg.telemetry.metrics = true;
   cfg.telemetry.trace = true;
   cfg.fault_plan =

@@ -215,7 +215,9 @@ TEST(EcmpLb, DifferentFlowsCanTakeDifferentPaths) {
 TEST(FlowletLb, SwitchesOnlyAfterInactivityGap) {
   sim::Simulation sim;
   LabelMap map = make_labels(1, 4);
-  lb::FlowletLb fl(sim, map, 500 * sim::kMicrosecond, 42);
+  const sim::Time gap = 500 * sim::kMicrosecond;
+  lb::FlowletLb fl(sim, map,
+                   {.default_gap = gap, .min_gap = gap, .max_gap = gap}, 42);
   net::Packet first = seg(65536);
   fl.on_segment(first);
   // Continuous traffic: same flowlet, same path.

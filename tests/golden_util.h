@@ -116,7 +116,7 @@ inline harness::RunResult golden_fig19_run() {
   harness::ExperimentConfig cfg;
   cfg.scheme = harness::Scheme::kPresto;
   cfg.seed = 9107;
-  cfg.edge_suspicion = true;
+  cfg.lb.edge_suspicion = true;
   cfg.telemetry.metrics = true;
   cfg.telemetry.timeseries = true;
   cfg.telemetry.sample_interval = 500 * sim::kMicrosecond;

@@ -1,6 +1,6 @@
 // Property tests for the kOrdering oracle (ISSUE 9): schemes whose registry
 // row claims fault-free in-order delivery are held to it across a wide fuzz
-// seed range, and a planted scheme that falsely makes the claim (WildStripe:
+// seed range, and a planted defect that breaks the claim (`bug=stripe`:
 // Sprinklers minus the ACK gate) is caught — proving the oracle fires.
 #include <gtest/gtest.h>
 
@@ -46,15 +46,17 @@ TEST(Ordering, EcmpSingleLabelPathsStayInOrder) {
 }
 
 TEST(Ordering, PlantedWildStripeTripsTheOracle) {
-  // WildStripe claims reordering_free in its registry row but rotates labels
-  // with bytes still in flight; on the asymmetric fabric consecutive stripes
-  // ride paths of different speed and overtake each other. If this test ever
-  // passes without a kOrdering violation the oracle has gone dead.
+  // Sprinklers claims reordering_free in its registry row; the planted
+  // stripe policy replaces it and rotates labels with bytes still in
+  // flight, so on the asymmetric fabric consecutive stripes ride paths of
+  // different speed and overtake each other. If this test ever passes
+  // without a kOrdering violation the oracle has gone dead.
   Scenario sc;
   sc.seed = 1;
-  sc.scheme = harness::Scheme::kWildStripe;
+  sc.scheme = harness::Scheme::kSprinklers;
   sc.topo = net::TopologyKind::kAsymClos;
   sc.flows = {{0, 2, 2'000'000}};
+  sc.bug = "stripe";
   const RunOutcome out = run_scenario(sc);
   ASSERT_FALSE(out.ok);
   EXPECT_TRUE(out.has_kind(OracleKind::kOrdering)) << out.report;
@@ -64,7 +66,7 @@ TEST(Ordering, PlantedWildStripeTripsTheOracle) {
 TEST(Ordering, SprayingSchemesAreNotHeldToTheClaim) {
   // Presto reorders by design (that is what Presto GRO absorbs); its registry
   // row does not claim reordering_free, so the oracle must stay disarmed and
-  // the run clean on the same fabric that trips WildStripe.
+  // the run clean on the same fabric that trips the planted stripe policy.
   Scenario sc;
   sc.seed = 1;
   sc.scheme = harness::Scheme::kPresto;

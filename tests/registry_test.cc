@@ -1,7 +1,7 @@
 // Tests pinning the scheme registry (ISSUE 9 tentpole): spec names are the
 // stable machine tokens every spec/CLI/manifest uses, capability flags match
-// each scheme's contract, hidden rows stay out of sweeps, and every factory
-// actually builds a sender policy.
+// each scheme's contract, and every factory actually builds a sender policy
+// whose state the soak digest sees.
 #include "lb/registry.h"
 
 #include <gtest/gtest.h>
@@ -56,33 +56,14 @@ TEST(SchemeRegistry, UnknownNameFailsWithoutClobberingOutput) {
   EXPECT_EQ(out, Scheme::kFlowlet);
 }
 
-TEST(SchemeRegistry, HiddenSchemesStayOutOfSweepsButParse) {
-  const SchemeRegistry& reg = SchemeRegistry::instance();
-  const SchemeInfo* wild = reg.find("wild_stripe");
-  ASSERT_NE(wild, nullptr);
-  EXPECT_TRUE(wild->hidden);
-  for (const SchemeInfo* s : reg.visible()) {
-    EXPECT_FALSE(s->hidden) << s->spec_name;
-    EXPECT_NE(s->id, Scheme::kWildStripe);
-  }
-  for (Scheme s : reg.differential_schemes()) {
-    EXPECT_NE(s, Scheme::kWildStripe);
-  }
-  // Replay must still reach the planted scheme by explicit name.
-  Scheme out = Scheme::kEcmp;
-  ASSERT_TRUE(parse_scheme_id("wild_stripe", &out));
-  EXPECT_EQ(out, Scheme::kWildStripe);
-}
-
 TEST(SchemeRegistry, DifferentialSetMatchesFlags) {
   const SchemeRegistry& reg = SchemeRegistry::instance();
   const std::vector<Scheme> diff = reg.differential_schemes();
   const std::set<Scheme> got(diff.begin(), diff.end());
   // MPTCP and Optimal model different transport/queue semantics, so they are
-  // not byte-for-byte comparable; the hidden violator never joins.
+  // not byte-for-byte comparable.
   EXPECT_EQ(got.count(Scheme::kMptcp), 0u);
   EXPECT_EQ(got.count(Scheme::kOptimal), 0u);
-  EXPECT_EQ(got.count(Scheme::kWildStripe), 0u);
   // Every rival scheme from this issue participates.
   EXPECT_EQ(got.count(Scheme::kFlowDyn), 1u);
   EXPECT_EQ(got.count(Scheme::kDiffFlow), 1u);
@@ -127,7 +108,10 @@ TEST(SchemeRegistry, FactoriesBuildSenderPolicies) {
     }
     std::unique_ptr<SenderLb> policy = make_scheme_lb(s.id, ctx);
     ASSERT_NE(policy, nullptr) << s.spec_name;
-    // Every built policy must survive a segment through the common path.
+    // Every built policy must survive a segment through the common path,
+    // and the per-flow state it creates must reach the checkpoint digest.
+    sim::Digest before;
+    policy->digest_state(before);
     net::Packet p;
     p.flow = net::FlowKey{0, 1, 10000, 80};
     p.src_host = 0;
@@ -135,22 +119,25 @@ TEST(SchemeRegistry, FactoriesBuildSenderPolicies) {
     p.payload = 1460;
     p.dst_mac = net::real_mac(1);
     policy->on_segment(p);
+    sim::Digest after;
+    policy->digest_state(after);
+    EXPECT_NE(before.value(), after.value()) << s.spec_name;
   }
 }
 
 TEST(SchemeRegistry, HarnessNameAndExperimentGoThroughRegistry) {
   EXPECT_STREQ(harness::scheme_name(harness::Scheme::kSprinklers),
                "Sprinklers");
-  // Building an experiment per visible scheme exercises the factory wiring
-  // end to end (Experiment::make_lb resolves through make_scheme_lb).
-  for (const SchemeInfo* s : SchemeRegistry::instance().visible()) {
+  // Building an experiment per scheme exercises the factory wiring end to
+  // end (Experiment::make_lb resolves through make_scheme_lb).
+  for (const SchemeInfo& s : SchemeRegistry::instance().all()) {
     harness::ExperimentConfig cfg;
-    cfg.scheme = s->id;
+    cfg.scheme = s.id;
     cfg.spines = 2;
     cfg.leaves = 2;
     cfg.hosts_per_leaf = 2;
     harness::Experiment ex(cfg);
-    EXPECT_EQ(ex.servers().size(), 4u) << s->spec_name;
+    EXPECT_EQ(ex.servers().size(), 4u) << s.spec_name;
   }
 }
 

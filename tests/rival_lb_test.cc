@@ -1,7 +1,7 @@
 // Unit tests for the rival load-balancer policies added in ISSUE 9:
-// FlowDyn's RTT-tracking dynamic flowlet gap, DiffFlow's mice/elephant
-// split, Sprinklers' ACK-gated variable-size striping, and the deliberately
-// broken WildStripe (ungated rotation) used by the planted ordering test.
+// FlowDyn's RTT-tracking dynamic flowlet gap (FlowletLb with its default
+// Config), DiffFlow's mice/elephant split and Sprinklers' ACK-gated
+// variable-size striping.
 #include <gtest/gtest.h>
 
 #include <set>
@@ -9,9 +9,8 @@
 
 #include "core/label_map.h"
 #include "lb/diffflow_lb.h"
-#include "lb/flowdyn_lb.h"
+#include "lb/flowlet_lb.h"
 #include "lb/sprinklers_lb.h"
-#include "lb/wild_stripe_lb.h"
 #include "sim/simulation.h"
 
 namespace presto::lb {
@@ -45,12 +44,14 @@ void advance(sim::Simulation& sim, sim::Time dt) {
 }
 
 // ---------------------------------------------------------------- FlowDyn
+// The flowlet policy with its default (RTT-tracking) Config, as the
+// registry's flowdyn row builds it.
 
 TEST(FlowDynLb, FixedGapAppliesUntilFirstRttSample) {
   sim::Simulation sim;
   core::LabelMap map = make_labels(1, 4);
-  FlowDynLb::Config cfg;
-  FlowDynLb lb(sim, map, cfg, 1);
+  FlowletLb::Config cfg;
+  FlowletLb lb(sim, map, cfg, 1);
   net::Packet p = seg(0, 1460);
   EXPECT_EQ(lb.current_gap(p.flow), cfg.default_gap);
   lb.on_segment(p);
@@ -60,8 +61,8 @@ TEST(FlowDynLb, FixedGapAppliesUntilFirstRttSample) {
 TEST(FlowDynLb, GapTracksRttEwmaWithClamp) {
   sim::Simulation sim;
   core::LabelMap map = make_labels(1, 4);
-  FlowDynLb::Config cfg;  // gap = clamp(0.5 * ewma, 50 us, 5 ms)
-  FlowDynLb lb(sim, map, cfg, 1);
+  FlowletLb::Config cfg;  // gap = clamp(0.5 * ewma, 50 us, 5 ms)
+  FlowletLb lb(sim, map, cfg, 1);
   const net::FlowKey flow = seg(0, 1460).flow;
 
   lb.on_ack_progress(flow, 1460, 1 * sim::kMillisecond);
@@ -87,7 +88,7 @@ TEST(FlowDynLb, GapTracksRttEwmaWithClamp) {
 TEST(FlowDynLb, RotatesOnlyWhenIdleGapExceedsDynamicGap) {
   sim::Simulation sim;
   core::LabelMap map = make_labels(1, 4);
-  FlowDynLb lb(sim, map, FlowDynLb::Config{}, 1);
+  FlowletLb lb(sim, map, FlowletLb::Config{}, 1);
 
   net::Packet first = seg(0, 1460);
   lb.on_segment(first);
@@ -260,23 +261,6 @@ TEST(SprinklersLb, RetransmissionsRideTheCurrentLabelWithoutAdvancing) {
   lb.on_segment(next);
   EXPECT_NE(next.dst_mac, first.dst_mac);
   EXPECT_EQ(lb.stripe_count(first.flow), 2u);
-}
-
-// ------------------------------------------------------------- WildStripe
-
-TEST(WildStripeLb, RotatesWithNoAckGateAtAll) {
-  // The planted violator: same striping shape as Sprinklers but the label
-  // rotates on raw dispatched bytes while everything is still in flight.
-  core::LabelMap map = make_labels(1, 4);
-  WildStripeLb lb(map, WildStripeLb::Config{}, 5);  // 8 KB stripes
-  std::set<net::MacAddr> labels;
-  for (int i = 0; i < 4; ++i) {
-    net::Packet p = seg(static_cast<std::uint64_t>(i) * 8192, 8192);
-    lb.on_segment(p);
-    labels.insert(p.dst_mac);
-    EXPECT_EQ(p.flowcell_id, static_cast<std::uint64_t>(i) + 1);
-  }
-  EXPECT_EQ(labels.size(), 4u) << "every stripe took a distinct path";
 }
 
 }  // namespace

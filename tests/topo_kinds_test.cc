@@ -75,7 +75,6 @@ TEST(Experiment, OversubFoldsUplinkRatioIntoFabricRate) {
   cfg.spines = 2;
   cfg.leaves = 2;
   cfg.hosts_per_leaf = 4;
-  cfg.oversub_factor = 4.0;
   harness::Experiment ex(cfg);
   // fabric = link_rate * hosts_per_leaf / (spines * F) = 10G * 4 / 8 = 5G.
   const FabricLink& fl = ex.topo().fabric_links().front();

@@ -81,7 +81,8 @@ int usage(const char* argv0) {
       "usage: %s [--seed N | --seed-range A:B | --replay 'spec' | "
       "--resume MANIFEST]\n"
       "          [--check all|conservation,tcp,gro,topology,ordering]\n"
-      "          [--bug eat:N|eat@Tus:N] [--repro-out PATH] [--no-shrink]\n"
+      "          [--bug eat:N|eat@Tus:N|stripe] [--repro-out PATH]\n"
+      "          [--no-shrink]\n"
       "          [--soak] [--epochs N] [--epoch-us T] [--epoch-events M]\n"
       "          [--audit-every N] [--leak-age-us T]\n"
       "          [--diff-schemes a,b,c|all] [--manifest PATH]\n"
