@@ -20,7 +20,7 @@ int main(int argc, char** argv) {
 
   std::printf("Ablation: flowcell threshold sweep, stride(8)\n");
   std::printf("%-10s %10s %10s %12s %12s\n", "flowcell", "tput Gbps",
-              "fairness", "RTT p99 ms", "loss %%");
+              "fairness", "RTT p99 ms", "loss %");
   for (std::uint32_t kb : {16, 32, 64, 128}) {
     harness::ExperimentConfig cfg;
     cfg.scheme = harness::Scheme::kPresto;

@@ -30,7 +30,7 @@ int main(int argc, char** argv) {
 
   std::printf("Ablation: LB granularity, stride(8), 16 hosts\n");
   std::printf("%-24s %10s %10s %10s\n", "granularity", "tput Gbps",
-              "fairness", "loss %%");
+              "fairness", "loss %");
   for (const Variant& v : variants) {
     harness::ExperimentConfig cfg;
     cfg.scheme = v.scheme;

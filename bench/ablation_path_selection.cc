@@ -19,7 +19,7 @@ int main(int argc, char** argv) {
 
   std::printf("Ablation: flowcell path selection + GRO beta rule, stride(8)\n");
   std::printf("%-24s %10s %10s %12s %10s\n", "variant", "tput Gbps",
-              "fairness", "RTT p99 ms", "loss %%");
+              "fairness", "RTT p99 ms", "loss %");
 
   struct Variant {
     const char* name;

@@ -122,20 +122,21 @@ int main(int argc, char** argv) {
     std::sort(sizes.rbegin(), sizes.rend());
     std::uint64_t total = 0;
     for (auto s : sizes) total += s;
+    const double largest = sizes.empty() ? 0.0 : static_cast<double>(sizes[0]);
+    const double top1 = total ? largest / static_cast<double>(total) : 0.0;
     if (json.enabled()) {
-      harness::SweepResult sweep;
-      for (auto s : sizes) sweep.fct_ms.add(static_cast<double>(s));
+      // Sizes are not completion times: the point carries them as params
+      // and leaves the FCT sketch empty.
       harness::ExperimentConfig cfg;
       cfg.scheme = harness::Scheme::kFlowlet;
       json.set_point("competing=" + std::to_string(competing),
                      {{"competing", static_cast<double>(competing)},
-                      {"flowlets", static_cast<double>(sizes.size())}});
-      json.record(cfg, sweep);
+                      {"flowlets", static_cast<double>(sizes.size())},
+                      {"top1_share", top1},
+                      {"largest_mb", largest / 1e6}});
+      json.record(cfg, harness::SweepResult());
     }
-    std::printf("%-6d %-9zu %-8.2f", competing, sizes.size(),
-                total ? static_cast<double>(sizes.empty() ? 0 : sizes[0]) /
-                            static_cast<double>(total)
-                      : 0.0);
+    std::printf("%-6d %-9zu %-8.2f", competing, sizes.size(), top1);
     for (std::size_t i = 0; i < std::min<std::size_t>(10, sizes.size());
          ++i) {
       std::printf(" %6.1f", sizes[i] / 1e6);

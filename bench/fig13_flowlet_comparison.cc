@@ -31,7 +31,7 @@ int main(int argc, char** argv) {
   std::vector<MultiRun> results;
   std::printf("Figure 13: flowlet switching vs Presto, stride(8)\n");
   std::printf("%-14s %10s %10s %10s\n", "scheme", "tput Gbps", "fairness",
-              "loss %%");
+              "loss %");
   for (const Variant& v : variants) {
     harness::ExperimentConfig cfg;
     cfg.scheme = v.scheme;

@@ -19,7 +19,7 @@ int main(int argc, char** argv) {
 
   std::vector<MultiRun> results;
   std::printf("Figure 14: Presto path selection, stride(8)\n");
-  std::printf("%-22s %10s %10s\n", "variant", "tput Gbps", "loss %%");
+  std::printf("%-22s %10s %10s\n", "variant", "tput Gbps", "loss %");
   for (harness::Scheme scheme :
        {harness::Scheme::kPrestoEcmp, harness::Scheme::kPresto}) {
     harness::ExperimentConfig cfg;

@@ -215,14 +215,6 @@ void append_list_or_dash(std::string& out, const std::string& list) {
 
 }  // namespace
 
-const char* scheme_spec_name(harness::Scheme s) {
-  return lb::scheme_spec_id(s);
-}
-
-bool parse_scheme_name(const std::string& id, harness::Scheme* out) {
-  return lb::parse_scheme_id(id, out);
-}
-
 std::string Scenario::fault_plan() const {
   std::string plan;
   for (const std::string& u : fault_units) {
@@ -234,7 +226,7 @@ std::string Scenario::fault_plan() const {
 
 std::string Scenario::to_string() const {
   std::string out = strf("seed=%" PRIu64 " scheme=%s", seed,
-                         scheme_spec_name(scheme));
+                         lb::scheme_spec_id(scheme));
   if (topo != net::TopologyKind::kClos) {
     out += strf(" topo=%s", net::topology_kind_id(topo));
   }
@@ -315,7 +307,9 @@ bool Scenario::parse(const std::string& text, Scenario* out,
     if (key == "seed") {
       if (!as_u64(&sc.seed)) return fail("bad seed");
     } else if (key == "scheme") {
-      if (!parse_scheme_name(value, &sc.scheme)) return fail("bad scheme: " + value);
+      if (!lb::parse_scheme_id(value, &sc.scheme)) {
+        return fail("bad scheme: " + value);
+      }
     } else if (key == "topo") {
       if (!net::parse_topology_kind(value, &sc.topo)) {
         return fail("bad topo: " + value);

@@ -21,12 +21,6 @@
 
 namespace presto::check {
 
-/// Stable lowercase scheme ids used by the one-line spec and the soak
-/// manifest ("presto", "ecmp", ...). Thin aliases over the scheme
-/// registry's spec ids (lb/registry.h).
-const char* scheme_spec_name(harness::Scheme s);
-bool parse_scheme_name(const std::string& id, harness::Scheme* out);
-
 struct FlowSpec {
   net::HostId src = 0;
   net::HostId dst = 0;

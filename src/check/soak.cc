@@ -225,7 +225,7 @@ DiffResult run_differential_soak(const Scenario& sc, const SoakOptions& opt,
     if (gap > allowed) {
       if (res.disagreements.size() < DiffResult::kMaxDisagreements) {
         res.disagreements.push_back(Disagreement{
-            epoch, scheme_spec_name(res.schemes_run[lo_scheme]), lo, hi});
+            epoch, lb::scheme_spec_id(res.schemes_run[lo_scheme]), lo, hi});
       }
       if (res.divergence_epoch == 0) {
         res.divergence_epoch = epoch;
@@ -234,7 +234,7 @@ DiffResult run_differential_soak(const Scenario& sc, const SoakOptions& opt,
             strf("epoch %u: scheme %s delivered %" PRIu64
                  " app bytes vs %" PRIu64 " for the best scheme "
                  "(gap %" PRIu64 " > allowed %" PRIu64 ")",
-                 epoch, scheme_spec_name(res.schemes_run[lo_scheme]), lo, hi,
+                 epoch, lb::scheme_spec_id(res.schemes_run[lo_scheme]), lo, hi,
                  gap, allowed));
       }
     }
@@ -277,13 +277,13 @@ DiffResult run_differential_soak(const Scenario& sc, const SoakOptions& opt,
           if (res.divergence_epoch == 0) res.divergence_epoch = at;
           if (res.disagreements.size() < DiffResult::kMaxDisagreements) {
             res.disagreements.push_back(Disagreement{
-                at, scheme_spec_name(res.schemes_run[i]), got, expect});
+                at, lb::scheme_spec_id(res.schemes_run[i]), got, expect});
           }
           res.report += strf(
               "[differential] at quiesce %s delivered %" PRIu64
               " app bytes but %s delivered %" PRIu64 "\n",
-              scheme_spec_name(res.schemes_run[i]), got,
-              scheme_spec_name(res.schemes_run[0]), expect);
+              lb::scheme_spec_id(res.schemes_run[i]), got,
+              lb::scheme_spec_id(res.schemes_run[0]), expect);
         }
       }
     }
@@ -294,7 +294,8 @@ DiffResult run_differential_soak(const Scenario& sc, const SoakOptions& opt,
     if (!o.ok) {
       res.ok = false;
       res.report += strf("--- scheme %s ---\n%s",
-                         scheme_spec_name(res.schemes_run[i]), o.report.c_str());
+                         lb::scheme_spec_id(res.schemes_run[i]),
+                         o.report.c_str());
     }
   }
   if (res.divergence_epoch != 0) res.ok = false;

@@ -32,8 +32,7 @@ const char* scheme_name(Scheme s) { return lb::scheme_display_name(s); }
 Experiment::Experiment(ExperimentConfig cfg)
     : cfg_(std::move(cfg)), rng_(cfg_.seed) {
   if (cfg_.control_loop.enabled) cfg_.telemetry.fabric.monitors = true;
-  if (cfg_.telemetry.metrics || cfg_.telemetry.trace ||
-      cfg_.telemetry.flight_recorder()) {
+  if (cfg_.telemetry.metrics || cfg_.telemetry.flight_recorder()) {
     telem_ = std::make_unique<telemetry::Session>(cfg_.telemetry);
     cfg_.mptcp.tcp.telemetry = telem_->tcp_probes();
   }
@@ -219,7 +218,6 @@ void Experiment::build_hosts() {
       hc.tcp.telemetry = telem_->tcp_probes();
       hc.sampler = telem_->sampler();
       hc.span_tracer = telem_->spans();
-      hc.flow_series = cfg_.telemetry.flow_series_per_host;
     }
     hc.jitter_seed = net::mix64(cfg_.seed ^ (0xBEEF00ULL + h));
     hc.uplink = topo_->host(h).link;
@@ -239,7 +237,7 @@ void Experiment::build_hosts() {
       // Flight-recorder runs also probe the host uplink (the first hop of
       // every span); kept off otherwise so metrics-only snapshots match
       // their pre-flight-recorder values. The uplink is labelled
-      // kHostNodeBit | h in trace events (switch ids stay dense from 0).
+      // kHostNodeBit | h in span events (switch ids stay dense from 0).
       host_ptr->uplink().attach_telemetry(telem_->port_probes());
     }
     if (server) {

@@ -118,7 +118,8 @@ class SchemeRegistry {
 
 /// Display name ("Presto") — the historical harness::scheme_name.
 const char* scheme_display_name(Scheme s);
-/// Stable spec token ("presto") — the historical scheme_spec_name.
+/// Stable spec token ("presto") used by the one-line scenario spec and the
+/// soak manifest.
 const char* scheme_spec_id(Scheme s);
 /// Parses a spec token; returns false and leaves `*out` untouched on an
 /// unknown name.

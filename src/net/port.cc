@@ -77,10 +77,6 @@ void TxPort::enqueued(const Packet& p) {
   if (telem_->label_flight != nullptr) {
     telem_->label_flight->add(p.dst_mac, bytes);
   }
-  if (telem_->tracer != nullptr) {
-    telem_->tracer->record(sim_.now(), telemetry::EventType::kEnqueue, node_,
-                           port_, queued_bytes_, bytes);
-  }
   if (telem_->spans != nullptr && p.span_id != 0) {
     telem_->spans->annotate(p.span_id, telemetry::SpanEventKind::kEnqueue,
                             sim_.now(), node_, port_, p.seq, bytes);

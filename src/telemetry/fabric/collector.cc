@@ -7,6 +7,24 @@ namespace presto::telemetry::fabric {
 
 namespace {
 
+/// Utilization EWMA at/above which a port counts as "hot".
+constexpr double kHotspotUtil = 0.90;
+/// Consecutive hot reports before a port is flagged a persistent hotspot.
+constexpr std::uint32_t kHotspotConsecutive = 3;
+/// Spray-imbalance index (max/mean per-label tx bytes) at/above which the
+/// label group is flagged imbalanced.
+constexpr double kImbalanceThreshold = 1.5;
+/// A label is a loss outlier when its loss% is >= kLossOutlierFactor times
+/// the mean across the *other* active labels (leave-one-out) and
+/// >= kLossOutlierMinPct.
+constexpr double kLossOutlierFactor = 4.0;
+constexpr double kLossOutlierMinPct = 0.5;
+/// A switch is "silent" after this many flush periods without an accepted
+/// report (only meaningful while the collection protocol runs).
+constexpr std::uint32_t kSilentAfterPeriods = 2;
+/// How many entries the microburst ranking keeps.
+constexpr std::uint32_t kMicroburstTop = 5;
+
 std::string label_name(std::size_t bucket) {
   if (bucket == kNonLabelBucket) return "other";
   char buf[8];
@@ -51,7 +69,7 @@ void FabricCollector::on_report(const TelemetryReport& r, sim::Time arrival) {
     st.hot_streak.resize(r.ports.size(), 0);
   }
   for (std::size_t i = 0; i < r.ports.size(); ++i) {
-    if (r.ports[i].util_ewma >= cfg_.hotspot_util) {
+    if (r.ports[i].util_ewma >= kHotspotUtil) {
       ++st.hot_streak[i];
     } else {
       st.hot_streak[i] = 0;
@@ -131,7 +149,7 @@ void FabricCollector::render_health(JsonWriter& w, sim::Time now) const {
         staleness = static_cast<double>(now - st.latest.emitted_at) /
                     static_cast<double>(cfg_.flush_period);
       }
-      if (staleness < 0 || staleness > cfg_.silent_after_periods) {
+      if (staleness < 0 || staleness > kSilentAfterPeriods) {
         ++silent;
         silent_switches.emplace_back(id, staleness);
       }
@@ -227,7 +245,7 @@ void FabricCollector::render_health(JsonWriter& w, sim::Time now) const {
   w.key("index");
   w.value(imbalance);
   w.key("flagged");
-  w.value(active > 0 && imbalance >= cfg_.imbalance_threshold);
+  w.value(active > 0 && imbalance >= kImbalanceThreshold);
   w.key("active_labels");
   w.value(static_cast<std::uint64_t>(active));
   if (active > 0) {
@@ -250,12 +268,12 @@ void FabricCollector::render_health(JsonWriter& w, sim::Time now) const {
   for (std::size_t b = 0; b < kNonLabelBucket; ++b) {
     if (agg[b].tx_packets + agg[b].drop_packets == 0) continue;
     const double lp = loss_pct(agg[b].drop_packets, agg[b].tx_packets);
-    if (lp < cfg_.loss_outlier_min_pct) continue;
+    if (lp < kLossOutlierMinPct) continue;
     const double mean_others =
         active_loss_labels > 1
             ? (loss_sum - lp) / static_cast<double>(active_loss_labels - 1)
             : 0.0;
-    if (lp < cfg_.loss_outlier_factor * mean_others && mean_others > 0) {
+    if (lp < kLossOutlierFactor * mean_others && mean_others > 0) {
       continue;
     }
     w.begin_object();
@@ -271,14 +289,14 @@ void FabricCollector::render_health(JsonWriter& w, sim::Time now) const {
   }
   w.end_array();
 
-  // Persistent hotspots: ports hot for >= hotspot_consecutive reports.
+  // Persistent hotspots: ports hot for >= kHotspotConsecutive reports.
   w.key("hotspots");
   w.begin_array();
   for (const auto& [id, st] : switches_) {
     if (!st.acct.has_report) continue;
     for (std::size_t i = 0; i < st.latest.ports.size(); ++i) {
       if (i >= st.hot_streak.size() ||
-          st.hot_streak[i] < cfg_.hotspot_consecutive) {
+          st.hot_streak[i] < kHotspotConsecutive) {
         continue;
       }
       w.begin_object();
@@ -331,7 +349,7 @@ void FabricCollector::render_health(JsonWriter& w, sim::Time now) const {
               if (a.sw != b.sw) return a.sw < b.sw;
               return a.port < b.port;
             });
-  if (bursts.size() > cfg_.microburst_top) bursts.resize(cfg_.microburst_top);
+  if (bursts.size() > kMicroburstTop) bursts.resize(kMicroburstTop);
   w.key("microbursts");
   w.begin_array();
   for (const BurstRow& row : bursts) {

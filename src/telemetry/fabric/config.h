@@ -7,7 +7,10 @@
 //     to the FabricCollector every `flush_period` through the control plane
 //     (0 disables the protocol — monitors can still be scraped directly,
 //     which is what the deterministic scenario/soak tiers do);
-//   * anomaly detection thresholds used by FabricCollector::health().
+//   * anomaly detection in FabricCollector::health().
+// Only what a bench or test varies is a field here; the fixed tuning
+// (report transit delay, sketch sampling, watermark decay, anomaly
+// thresholds) is a named constant next to the code that reads it.
 #pragma once
 
 #include <cstdint>
@@ -32,43 +35,12 @@ struct FabricConfig {
   /// Period between monitor flushes to the collector (0 = no scheduled
   /// flushes; reports only via FabricPlane::collect_now()).
   sim::Time flush_period = 0;
-  /// Baseline control-plane transit delay for a report frame. Control-plane
-  /// faults (ctl_fault@) add their extra_push_delay on top and may drop or
-  /// duplicate the frame.
-  sim::Time report_delay = 10 * sim::kMicrosecond;
 
   // -- monitor thresholds --
   /// Queue occupancy (bytes) above which a microburst episode is open.
   std::uint64_t microburst_threshold_bytes = 150 * 1024;
-  /// Sample queue depth into the per-label DDSketch on every 2^shift-th
-  /// enqueue (per port). Keeps the sketch update (one std::log) off most
-  /// hot-path events; every 32nd enqueue keeps the monitor overhead well
-  /// under the 5% events/sec budget perf_core enforces while still
-  /// collecting tens of thousands of depth samples per bench run.
-  std::uint32_t sketch_sample_shift = 5;
   /// EWMA weight for the per-port utilization estimate (per flush window).
   double util_alpha = 0.3;
-  /// Per-flush decay applied to the queue high-watermark.
-  double hwm_decay = 0.5;
-
-  // -- anomaly thresholds --
-  /// Utilization EWMA at/above which a port counts as "hot".
-  double hotspot_util = 0.90;
-  /// Consecutive hot reports before a port is flagged a persistent hotspot.
-  std::uint32_t hotspot_consecutive = 3;
-  /// Spray-imbalance index (max/mean per-label tx bytes) at/above which the
-  /// label group is flagged imbalanced.
-  double imbalance_threshold = 1.5;
-  /// A label is a loss outlier when its loss% is >= `loss_outlier_factor`
-  /// times the mean across the *other* active labels (leave-one-out) and
-  /// >= `loss_outlier_min_pct`.
-  double loss_outlier_factor = 4.0;
-  double loss_outlier_min_pct = 0.5;
-  /// A switch is "silent" after this many flush periods without an accepted
-  /// report (only meaningful while the collection protocol runs).
-  std::uint32_t silent_after_periods = 2;
-  /// How many entries the microburst ranking keeps.
-  std::uint32_t microburst_top = 5;
 };
 
 }  // namespace presto::telemetry::fabric

@@ -1,6 +1,12 @@
 #include "telemetry/fabric/monitor.h"
 
 namespace presto::telemetry::fabric {
+namespace {
+
+/// Per-flush decay applied to the queue high-watermark.
+constexpr double kHwmDecay = 0.5;
+
+}  // namespace
 
 void PortMonitor::close_window(sim::Time now, sim::Time window_start,
                                PortReport& out) {
@@ -22,9 +28,9 @@ void PortMonitor::close_window(sim::Time now, sim::Time window_start,
     window_tx_base_ = r_.tx_bytes;
   }
   // Decayed watermark: the raw window max, pulled toward the current
-  // occupancy by `hwm_decay` each flush so old bursts fade out.
+  // occupancy by kHwmDecay each flush so old bursts fade out.
   const double floor = static_cast<double>(depth_);
-  double decayed = hwm_window_ * cfg_->hwm_decay;
+  double decayed = hwm_window_ * kHwmDecay;
   if (static_cast<double>(hwm_live_) > decayed) {
     decayed = static_cast<double>(hwm_live_);
   }

@@ -6,6 +6,14 @@
 #include "net/types.h"
 
 namespace presto::telemetry::fabric {
+namespace {
+
+/// Baseline control-plane transit delay for a report frame. Control-plane
+/// faults (ctl_fault@) add their extra_push_delay on top and may drop or
+/// duplicate the frame.
+constexpr sim::Time kReportDelay = 10 * sim::kMicrosecond;
+
+}  // namespace
 
 FabricPlane::FabricPlane(sim::Simulation& sim, const FabricConfig& cfg,
                          std::uint64_t seed)
@@ -48,7 +56,7 @@ void FabricPlane::flush_now() {
 
 void FabricPlane::deliver(TelemetryReport r) {
   ++reports_sent_;
-  sim::Time delay = cfg_.report_delay;
+  sim::Time delay = kReportDelay;
   bool duplicate = false;
   if (ctl_ != nullptr) {
     if (const auto* fault = ctl_->control_fault()) {
@@ -67,7 +75,7 @@ void FabricPlane::deliver(TelemetryReport r) {
   if (duplicate) {
     ++reports_duplicated_;
     // The copy takes the longer path (models a retransmitted frame).
-    schedule_delivery(r, delay + cfg_.report_delay);
+    schedule_delivery(r, delay + kReportDelay);
   }
   schedule_delivery(std::move(r), delay);
 }

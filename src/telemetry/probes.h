@@ -20,7 +20,6 @@
 #include "telemetry/metrics.h"
 #include "telemetry/span.h"
 #include "telemetry/timeseries.h"
-#include "telemetry/trace.h"
 
 namespace presto::telemetry {
 
@@ -28,21 +27,15 @@ namespace presto::telemetry {
 struct TelemetryConfig {
   /// Master switch: collect counters/gauges/histograms.
   bool metrics = false;
-  /// Also record the typed event trace (heavier; mainly for tests/debug).
-  bool trace = false;
-  std::size_t trace_capacity = 1 << 16;
 
   // -- flight recorder (DESIGN.md §10) --
-  /// Periodically sample registered gauges into bounded time-series rings.
+  /// Periodically sample registered gauges into bounded time-series rings
+  /// (TimeSeriesConfig::capacity points per series).
   bool timeseries = false;
   sim::Time sample_interval = 100 * sim::kMicrosecond;
-  std::size_t timeseries_capacity = 4096;
-  /// Open a causal span for every Nth dispatched flowcell (0 = off).
+  /// Open a causal span for every Nth dispatched flowcell (0 = off); the
+  /// span and event bounds are SpanTracerConfig's.
   std::uint32_t span_sample_every = 0;
-  std::size_t span_max_spans = 1024;
-  std::size_t span_max_events = 1 << 16;
-  /// Per-host cap on flows given cwnd/srtt series (first N senders created).
-  std::uint32_t flow_series_per_host = 4;
 
   /// In-fabric telemetry plane (switch-side monitors + collection protocol
   /// + anomaly layer; DESIGN.md §15). Independent of `metrics`.
@@ -70,11 +63,10 @@ struct LabelFlight {
 
 /// What every drop site records besides its own counters and the fabric
 /// monitor: one counter per net::TapDropCause (null where the site never
-/// drops for that cause; kLinkDownTx shares kLinkDown's counter), the event
-/// trace and the span tracer. net::record_drop is their one writer.
+/// drops for that cause; kLinkDownTx shares kLinkDown's counter) and the
+/// span tracer. net::record_drop is their one writer.
 struct DropProbes {
   std::array<Counter*, net::kTapDropCauses> drop{};
-  Tracer* tracer = nullptr;
   SpanTracer* spans = nullptr;
 };
 
@@ -97,7 +89,6 @@ struct FlowcellProbes {
   Counter* suspicion_clears = nullptr;   ///< spurious-recovery exonerations
   Histogram* label_index = nullptr;     ///< chosen slot per dispatch
   Histogram* cells_per_flow = nullptr;  ///< published at snapshot time
-  Tracer* tracer = nullptr;
   SpanTracer* spans = nullptr;
 };
 
@@ -112,7 +103,6 @@ struct GroProbes {
   Counter* flush_timeout = nullptr;  ///< boundary-hold timeout fires
   Counter* flush_stale = nullptr;
   Counter* holds = nullptr;
-  Tracer* tracer = nullptr;
   SpanTracer* spans = nullptr;
 };
 
@@ -123,7 +113,6 @@ struct TcpProbes {
   Counter* retransmitted_bytes = nullptr;
   Counter* dup_acks = nullptr;
   Counter* spurious_recoveries = nullptr;
-  Tracer* tracer = nullptr;
   SpanTracer* spans = nullptr;
 };
 
@@ -137,7 +126,6 @@ struct ControllerProbes {
   Counter* noop_transitions = nullptr;  ///< redundant fail/restore ignored
   Counter* pushes_dropped = nullptr;    ///< control-plane fault ate a push
   Counter* pushes_delayed = nullptr;    ///< control-plane fault delayed one
-  Tracer* tracer = nullptr;
 };
 
 /// fault::FaultInjector — injected fault activity by class.
@@ -147,20 +135,18 @@ struct FaultProbes {
   Counter* degrade_events = nullptr;  ///< loss-model installs/heals
   Counter* switch_events = nullptr;   ///< switch fail-stop/restore
   Counter* control_events = nullptr;  ///< control-plane fault arms/clears
-  Tracer* tracer = nullptr;
 };
 
-/// Owns the Registry (+ optional Tracer) for one experiment replica and the
-/// pre-resolved probe bundles handed to components. Creating the session
-/// eagerly registers every instrument name, so emitted snapshots always
-/// carry the full cross-layer key set even when a counter stayed at zero.
+/// Owns the Registry (+ optional flight recorder) for one experiment
+/// replica and the pre-resolved probe bundles handed to components. Creating
+/// the session eagerly registers every instrument name, so emitted snapshots
+/// always carry the full cross-layer key set even when a counter stayed at
+/// zero.
 class Session {
  public:
   explicit Session(const TelemetryConfig& cfg);
 
   Registry& registry() { return registry_; }
-  /// Null when tracing is disabled.
-  Tracer* tracer() { return tracer_.get(); }
   /// Null when the time-series flight recorder is disabled.
   TimeSeriesSampler* sampler() { return sampler_.get(); }
   const TimeSeriesSampler* sampler() const { return sampler_.get(); }
@@ -177,12 +163,10 @@ class Session {
   const ControllerProbes* controller_probes() const { return &controller_; }
   const FaultProbes* fault_probes() const { return &fault_; }
 
-  /// Registry snapshot plus trace accounting.
-  Snapshot snapshot() const;
+  Snapshot snapshot() const { return registry_.snapshot(); }
 
  private:
   Registry registry_;
-  std::unique_ptr<Tracer> tracer_;
   std::unique_ptr<TimeSeriesSampler> sampler_;
   std::unique_ptr<SpanTracer> spans_;
   LabelFlight label_flight_;

@@ -3,18 +3,14 @@
 namespace presto::telemetry {
 
 Session::Session(const TelemetryConfig& cfg) {
-  if (cfg.trace) {
-    tracer_ = std::make_unique<Tracer>(cfg.trace_capacity);
-  }
   if (cfg.timeseries) {
-    sampler_ = std::make_unique<TimeSeriesSampler>(TimeSeriesConfig{
-        cfg.sample_interval, cfg.timeseries_capacity});
+    sampler_ = std::make_unique<TimeSeriesSampler>(
+        TimeSeriesConfig{.interval = cfg.sample_interval});
   }
   if (cfg.span_sample_every > 0) {
-    spans_ = std::make_unique<SpanTracer>(SpanTracerConfig{
-        cfg.span_sample_every, cfg.span_max_spans, cfg.span_max_events});
+    spans_ = std::make_unique<SpanTracer>(
+        SpanTracerConfig{.sample_every = cfg.span_sample_every});
   }
-  Tracer* tr = tracer_.get();
   SpanTracer* sp = spans_.get();
 
   port_.spans = sp;
@@ -39,11 +35,9 @@ Session::Session(const TelemetryConfig& cfg) {
   port_.drop[at(TapDropCause::kLinkDownTx)] =
       port_.drop[at(TapDropCause::kLinkDown)];
   port_.queue_depth_bytes = &registry_.histogram("net.port.queue_depth_bytes");
-  port_.tracer = tr;
 
   switch_.drop[at(TapDropCause::kNoRoute)] =
       &registry_.counter("net.switch.dropped.no_route");
-  switch_.tracer = tr;
 
   flowcell_.cells = &registry_.counter("core.flowcell.cells");
   flowcell_.segments = &registry_.counter("core.flowcell.segments");
@@ -56,7 +50,6 @@ Session::Session(const TelemetryConfig& cfg) {
   flowcell_.label_index = &registry_.histogram("core.flowcell.label_index");
   flowcell_.cells_per_flow =
       &registry_.histogram("core.flowcell.cells_per_flow");
-  flowcell_.tracer = tr;
 
   gro_.merges = &registry_.counter("offload.gro.merges");
   gro_.pushed = &registry_.counter("offload.gro.pushed");
@@ -68,14 +61,12 @@ Session::Session(const TelemetryConfig& cfg) {
   gro_.flush_timeout = &registry_.counter("offload.gro.flush.timeout");
   gro_.flush_stale = &registry_.counter("offload.gro.flush.stale");
   gro_.holds = &registry_.counter("offload.gro.holds");
-  gro_.tracer = tr;
 
   tcp_.fast_retransmits = &registry_.counter("tcp.retx.fast");
   tcp_.rtos = &registry_.counter("tcp.retx.timeout");
   tcp_.retransmitted_bytes = &registry_.counter("tcp.retx.bytes");
   tcp_.dup_acks = &registry_.counter("tcp.dup_acks");
   tcp_.spurious_recoveries = &registry_.counter("tcp.spurious_recoveries");
-  tcp_.tracer = tr;
 
   controller_.link_failures = &registry_.counter("controller.link_failures");
   controller_.link_restores = &registry_.counter("controller.link_restores");
@@ -88,23 +79,12 @@ Session::Session(const TelemetryConfig& cfg) {
       &registry_.counter("controller.noop_transitions");
   controller_.pushes_dropped = &registry_.counter("controller.pushes_dropped");
   controller_.pushes_delayed = &registry_.counter("controller.pushes_delayed");
-  controller_.tracer = tr;
 
   fault_.events = &registry_.counter("fault.events");
   fault_.link_events = &registry_.counter("fault.link_events");
   fault_.degrade_events = &registry_.counter("fault.degrade_events");
   fault_.switch_events = &registry_.counter("fault.switch_events");
   fault_.control_events = &registry_.counter("fault.control_events");
-  fault_.tracer = tr;
-}
-
-Snapshot Session::snapshot() const {
-  Snapshot s = registry_.snapshot();
-  if (tracer_ != nullptr) {
-    s.trace_events = tracer_->total();
-    s.trace_dropped = tracer_->dropped();
-  }
-  return s;
 }
 
 }  // namespace presto::telemetry

@@ -1,13 +1,13 @@
 // Drop accounting agrees across every channel that reports it.
 //
-// One small experiment runs with metrics, the event trace, the fabric
-// monitors and a counting WireTap all on, and is driven into every
-// port/switch drop cause: drop-tail, Gilbert–Elliott loss, corruption, a
-// link that is down at enqueue, a link that goes down under a queued frame,
-// and a frame no switch can route. For each cause the port counters
-// (PortCounters, no_route_drops, ring_drops), the tap, the registry
-// counters, the fabric PortReports and the kDrop trace events must report
-// the same number, because one fan-out per drop site feeds them all.
+// One small experiment runs with metrics, the fabric monitors and a
+// counting WireTap all on, and is driven into every port/switch drop cause:
+// drop-tail, Gilbert–Elliott loss, corruption, a link that is down at
+// enqueue, a link that goes down under a queued frame, and a frame no
+// switch can route. For each cause the port counters (PortCounters,
+// no_route_drops, ring_drops), the tap, the registry counters and the
+// fabric PortReports must report the same number, because one fan-out per
+// drop site feeds them all.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -16,7 +16,6 @@
 #include "harness/experiment.h"
 #include "net/tap.h"
 #include "telemetry/fabric/monitor.h"
-#include "telemetry/trace.h"
 
 namespace presto {
 namespace {
@@ -48,8 +47,6 @@ TEST(DropAgreement, EveryChannelCountsEveryCauseTheSame) {
   cfg.seed = 21;
   cfg.switch_buffer_bytes = 64 * 1024;  // drop-tail under the incast
   cfg.telemetry.metrics = true;
-  cfg.telemetry.trace = true;
-  cfg.telemetry.trace_capacity = 1 << 22;
   cfg.telemetry.fabric.monitors = true;
   // Switch ids: spines 0-1, leaves 2-3. Loss and corruption on one
   // leaf-spine link, and a second link that goes down under load.
@@ -111,19 +108,6 @@ TEST(DropAgreement, EveryChannelCountsEveryCauseTheSame) {
     ring += ex.host(h).ring_drops();
   }
 
-  // Channel 5: the kDrop trace events, by the cause in their `a` operand
-  // (host uplinks carry no probes without the flight recorder).
-  const telemetry::Tracer* tracer = ex.tracer();
-  ASSERT_NE(tracer, nullptr);
-  ASSERT_EQ(tracer->dropped(), 0u);
-  Counts traced{};
-  for (const telemetry::Event& e : tracer->events()) {
-    if (e.type != telemetry::EventType::kDrop) continue;
-    ASSERT_LT(e.a, traced.size());
-    EXPECT_EQ(e.node & net::kHostNodeBit, 0u);
-    ++traced[e.a];
-  }
-
   // Channel 3: the registry counters (kLinkDownTx feeds link_down).
   const telemetry::Snapshot snap = ex.telemetry()->snapshot();
   const auto counter = [&snap](const char* name) {
@@ -140,12 +124,11 @@ TEST(DropAgreement, EveryChannelCountsEveryCauseTheSame) {
   }
   EXPECT_EQ(t[idx(TapDropCause::kHostRing)], 0u);
 
-  // Per cause: tap == trace == fabric monitor (ports; no-route on the
-  // switch monitor).
+  // Per cause: tap == fabric monitor (ports; no-route on the switch
+  // monitor).
   for (std::size_t k = 0; k < net::kTapDropCauses; ++k) {
     const auto c = static_cast<TapDropCause>(k);
     if (c == TapDropCause::kHostRing) continue;
-    EXPECT_EQ(traced[k], t[k]) << net::tap_drop_cause_name(c);
     const std::uint64_t mon =
         c == TapDropCause::kNoRoute ? monitor_no_route : fabric_reports[k];
     EXPECT_EQ(mon, t[k]) << net::tap_drop_cause_name(c);

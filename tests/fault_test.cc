@@ -438,7 +438,8 @@ std::pair<std::string, telemetry::Snapshot> faulted_traced_run(
   cfg.seed = seed;
   cfg.lb.edge_suspicion = true;
   cfg.telemetry.metrics = true;
-  cfg.telemetry.trace = true;
+  cfg.telemetry.timeseries = true;
+  cfg.telemetry.span_sample_every = 4;
   cfg.fault_plan =
       "flap@10ms leaf=2 spine=0 group=0 period=20ms count=2;"
       "degrade@15ms leaf=3 spine=1 p_gb=0.05 loss_bad=0.5 corrupt=0.001;"
@@ -453,17 +454,17 @@ std::pair<std::string, telemetry::Snapshot> faulted_traced_run(
   std::uint64_t delivered = 0;
   for (auto* e : els) delivered += e->delivered();
   EXPECT_GT(delivered, 0u);
-  return {ex.tracer()->serialize(), ex.telemetry_snapshot()};
+  return {ex.export_trace_json(), ex.telemetry_snapshot()};
 }
 
 TEST(FaultDeterminism, SamePlanSameSeedIsByteIdentical) {
   const auto [trace1, snap1] = faulted_traced_run(4242);
   const auto [trace2, snap2] = faulted_traced_run(4242);
-  EXPECT_FALSE(trace1.empty());
+  EXPECT_NE(trace1.find("\"cat\": \"flowcell\""), std::string::npos)
+      << "the trace carries flowcell spans";
   EXPECT_EQ(trace1, trace2);
   EXPECT_EQ(snap1.counters, snap2.counters);
   EXPECT_EQ(snap1.gauges, snap2.gauges);
-  EXPECT_EQ(snap1.trace_events, snap2.trace_events);
   // The faults actually fired in the traced run.
   EXPECT_GT(snap1.counters.at("fault.events"), 0u);
   EXPECT_GT(snap1.counters.at("net.port.dropped.loss_model"), 0u);
@@ -486,7 +487,6 @@ TEST(FaultDeterminism, ParallelSweepMatchesSerialBitForBit) {
   const telemetry::Snapshot parallel = sweep(4);
   EXPECT_EQ(serial.counters, parallel.counters);
   EXPECT_EQ(serial.gauges, parallel.gauges);
-  EXPECT_EQ(serial.trace_events, parallel.trace_events);
   EXPECT_GT(serial.counters.at("fault.events"), 0u);
 }
 

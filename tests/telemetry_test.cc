@@ -1,12 +1,12 @@
 // Telemetry tests: registry/snapshot semantics, JSON emission, and the
-// determinism guarantee — same seed + config => byte-identical event trace.
+// determinism guarantee — same seed + config => byte-identical flight
+// recorder trace and metrics.
 #include <gtest/gtest.h>
 
 #include "harness/runners.h"
 #include "telemetry/json.h"
 #include "telemetry/metrics.h"
 #include "telemetry/probes.h"
-#include "telemetry/trace.h"
 
 namespace presto::telemetry {
 namespace {
@@ -51,13 +51,10 @@ TEST(Snapshot, MergeSumsCountersAndKeepsMaxGauge) {
   b.counters["only_b"] = 7;
   a.gauges["g"] = 1.0;
   b.gauges["g"] = 4.0;
-  a.trace_events = 10;
-  b.trace_events = 5;
   a.merge(b);
   EXPECT_EQ(a.counters["c"], 5u);
   EXPECT_EQ(a.counters["only_b"], 7u);
   EXPECT_EQ(a.gauges["g"], 4.0);
-  EXPECT_EQ(a.trace_events, 15u);
 }
 
 TEST(Snapshot, HistogramMergeCombinesBuckets) {
@@ -116,47 +113,9 @@ TEST(JsonWriter, EmitsWellFormedDocument) {
   EXPECT_EQ(doc.back(), '}');
 }
 
-TEST(Tracer, CountsBeyondCapacity) {
-  Tracer t(/*capacity=*/2);
-  for (int i = 0; i < 5; ++i) {
-    t.record(i, EventType::kEnqueue, 0, -1);
-  }
-  EXPECT_EQ(t.events().size(), 2u);
-  EXPECT_EQ(t.total(), 5u);
-  EXPECT_EQ(t.dropped(), 3u);
-}
-
-TEST(Tracer, KeepsTheOldestEventsAtTheWrapBoundary) {
-  // The ring keeps the head of the run: events recorded exactly at capacity
-  // and beyond are counted but not stored, and what *is* stored stays in
-  // record order so serialize() is stable regardless of overflow.
-  Tracer t(/*capacity=*/3);
-  for (int i = 0; i < 3; ++i) t.record(i, EventType::kEnqueue, i, -1);
-  t.record(3, EventType::kDrop, 3, -1);  // first overflowing event
-  ASSERT_EQ(t.events().size(), 3u);
-  for (int i = 0; i < 3; ++i) {
-    EXPECT_EQ(t.events()[i].at, i);
-    EXPECT_EQ(t.events()[i].type, EventType::kEnqueue);
-  }
-  EXPECT_EQ(t.dropped(), 1u);
-  const std::string text = t.serialize();
-  EXPECT_NE(text.find("total=4 dropped=1"), std::string::npos);
-  EXPECT_EQ(text.find("3 drop"), std::string::npos)
-      << "the overflowed kDrop event must not appear as a stored line";
-}
-
-TEST(Tracer, ZeroCapacityDropsEverything) {
-  Tracer t(/*capacity=*/0);
-  t.record(1, EventType::kEnqueue, 0, -1);
-  t.record(2, EventType::kGroFlush, 0, -1);
-  EXPECT_TRUE(t.events().empty());
-  EXPECT_EQ(t.total(), 2u);
-  EXPECT_EQ(t.dropped(), 2u);
-  EXPECT_EQ(t.serialize(), "total=2 dropped=2\n");
-}
-
-// Same seed + config => the whole stack replays identically, so the typed
-// event trace and the metrics snapshot are byte-identical run to run.
+// Same seed + config => the whole stack replays identically, so the
+// Perfetto export (sampled series plus flowcell spans) and the metrics
+// snapshot are byte-identical run to run.
 class TraceDeterminismTest
     : public ::testing::TestWithParam<harness::Scheme> {};
 
@@ -168,7 +127,8 @@ std::pair<std::string, Snapshot> traced_run(harness::Scheme scheme) {
   cfg.hosts_per_leaf = 2;
   cfg.seed = 1234;
   cfg.telemetry.metrics = true;
-  cfg.telemetry.trace = true;
+  cfg.telemetry.timeseries = true;
+  cfg.telemetry.span_sample_every = 4;
   harness::Experiment ex(cfg);
   std::vector<workload::ElephantApp*> els;
   for (const auto& [s, d] : workload::stride_pairs(4, 2)) {
@@ -178,17 +138,17 @@ std::pair<std::string, Snapshot> traced_run(harness::Scheme scheme) {
   std::uint64_t delivered = 0;
   for (auto* e : els) delivered += e->delivered();
   EXPECT_GT(delivered, 0u);
-  return {ex.tracer()->serialize(), ex.telemetry_snapshot()};
+  return {ex.export_trace_json(), ex.telemetry_snapshot()};
 }
 
 TEST_P(TraceDeterminismTest, SameSeedSameTrace) {
   const auto [trace1, snap1] = traced_run(GetParam());
   const auto [trace2, snap2] = traced_run(GetParam());
-  EXPECT_FALSE(trace1.empty());
+  EXPECT_NE(trace1.find("\"ph\": \"C\""), std::string::npos)
+      << "the trace carries sampled series";
   EXPECT_EQ(trace1, trace2);
   EXPECT_EQ(snap1.counters, snap2.counters);
   EXPECT_EQ(snap1.gauges, snap2.gauges);
-  EXPECT_EQ(snap1.trace_events, snap2.trace_events);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -215,7 +175,7 @@ TEST(Telemetry, DisabledExperimentReturnsEmptySnapshot) {
   ex.add_elephant(0, 2, 0);
   ex.sim().run_until(20 * sim::kMillisecond);
   EXPECT_TRUE(ex.telemetry_snapshot().empty());
-  EXPECT_EQ(ex.tracer(), nullptr);
+  EXPECT_EQ(ex.telemetry(), nullptr);
 }
 
 }  // namespace

@@ -168,7 +168,7 @@ bool parse_schemes(const std::string& spec,
     const std::string item = spec.substr(
         pos, comma == std::string::npos ? std::string::npos : comma - pos);
     presto::harness::Scheme s;
-    if (!presto::check::parse_scheme_name(item, &s)) return false;
+    if (!presto::lb::parse_scheme_id(item, &s)) return false;
     out->push_back(s);
     if (comma == std::string::npos) break;
     pos = comma + 1;
@@ -368,7 +368,7 @@ int run_diff_one(const Scenario& sc, const CheckerOptions& copt,
     man.scenario = sc.to_string();
     fill_manifest_params(&man, opt);
     for (presto::harness::Scheme s : res.schemes_run) {
-      man.schemes.push_back(presto::check::scheme_spec_name(s));
+      man.schemes.push_back(presto::lb::scheme_spec_id(s));
     }
     if (!res.per_scheme.empty()) man.epochs = res.per_scheme[0].epochs;
     man.status = res.ok ? "clean" : "violation";
@@ -387,7 +387,7 @@ int run_diff_one(const Scenario& sc, const CheckerOptions& copt,
   for (std::size_t i = 0; i < res.per_scheme.size(); ++i) {
     const SoakResult& sr = res.per_scheme[i];
     std::printf("scheme %-12s: %zu epochs, delivered=%llu, violations=%llu\n",
-                presto::check::scheme_spec_name(res.schemes_run[i]),
+                presto::lb::scheme_spec_id(res.schemes_run[i]),
                 sr.epochs.size(),
                 static_cast<unsigned long long>(
                     sr.epochs.empty() ? 0
