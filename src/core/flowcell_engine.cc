@@ -167,7 +167,7 @@ void FlowcellEngine::blame_label(net::MacAddr label, bool timeout) {
   const std::uint32_t shift = esc > 6 ? 6 : esc;
   sim::Time hold = cfg_.suspicion_hold << shift;
   if (timeout) hold *= 4;
-  if (hold > cfg_.suspicion_max_hold) hold = cfg_.suspicion_max_hold;
+  if (hold > kSuspicionMaxHold) hold = kSuspicionMaxHold;
   h.suspect_until = std::max(h.suspect_until, t + hold);
 }
 

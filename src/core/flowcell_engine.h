@@ -45,13 +45,15 @@ struct FlowcellConfig {
   bool path_suspicion = false;
   /// Base quarantine after a fast-retransmit signal; an RTO signal (a
   /// stronger indictment) quarantines 4x as long. Repeated strikes double
-  /// the hold up to `suspicion_max_hold`.
+  /// the hold up to FlowcellEngine::kSuspicionMaxHold.
   sim::Time suspicion_hold = 5 * sim::kMillisecond;
-  sim::Time suspicion_max_hold = 320 * sim::kMillisecond;
 };
 
 class FlowcellEngine final : public lb::SenderLb {
  public:
+  /// Ceiling of an escalated suspicion hold.
+  static constexpr sim::Time kSuspicionMaxHold = 320 * sim::kMillisecond;
+
   /// `labels` may outlive this engine; the controller mutates it on failures.
   FlowcellEngine(const LabelMap& labels, FlowcellConfig cfg = {})
       : labels_(labels), cfg_(cfg) {}

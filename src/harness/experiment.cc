@@ -1,6 +1,7 @@
 #include "harness/experiment.h"
 
 #include <algorithm>
+#include <iterator>
 #include <string>
 
 #include "lb/registry.h"
@@ -34,7 +35,6 @@ Experiment::Experiment(ExperimentConfig cfg)
   if (cfg_.control_loop.enabled) cfg_.telemetry.fabric.monitors = true;
   if (cfg_.telemetry.metrics || cfg_.telemetry.flight_recorder()) {
     telem_ = std::make_unique<telemetry::Session>(cfg_.telemetry);
-    cfg_.mptcp.tcp.telemetry = telem_->tcp_probes();
   }
   net::LinkConfig link;
   link.rate_bps = cfg_.link_rate_bps;
@@ -215,7 +215,6 @@ void Experiment::build_hosts() {
     host::HostConfig hc = cfg_.host;
     if (telem_ != nullptr) {
       hc.gro_telemetry = telem_->gro_probes();
-      hc.tcp.telemetry = telem_->tcp_probes();
       hc.sampler = telem_->sampler();
       hc.span_tracer = telem_->spans();
     }
@@ -296,8 +295,8 @@ std::unique_ptr<workload::ByteChannel> Experiment::open_channel(
   const net::FlowKey flow = alloc_flow(src, dst);
   if (lb::SchemeRegistry::instance().info(cfg_.scheme).uses_mptcp_channel &&
       allow_mptcp) {
-    return std::make_unique<workload::MptcpByteChannel>(
-        sim_, host(src), host(dst), flow, cfg_.mptcp);
+    return std::make_unique<workload::MptcpByteChannel>(sim_, host(src),
+                                                        host(dst), flow);
   }
   return std::make_unique<workload::TcpByteChannel>(host(src), host(dst),
                                                     flow);
@@ -336,6 +335,25 @@ telemetry::Snapshot Experiment::telemetry_snapshot() {
     for (core::FlowcellEngine* engine : flowcell_engines_) {
       engine->publish_telemetry();
     }
+  }
+  // TCP counts only in TcpSenderStats; the registry copy is the sum.
+  using Stats = tcp::TcpSenderStats;
+  constexpr std::uint64_t Stats::*kTcpFields[] = {
+      &Stats::fast_retransmits, &Stats::timeouts, &Stats::retransmitted_bytes,
+      &Stats::dup_acks, &Stats::spurious_recoveries};
+  static_assert(std::size(kTcpFields) == std::size(telemetry::kTcpCounters));
+  std::uint64_t sums[std::size(kTcpFields)] = {};
+  for (const auto& h : hosts_) {
+    h->for_each_sender([&](const tcp::TcpSender& s) {
+      for (std::size_t i = 0; i < std::size(kTcpFields); ++i) {
+        sums[i] += s.stats().*kTcpFields[i];
+      }
+    });
+  }
+  for (std::size_t i = 0; i < std::size(kTcpFields); ++i) {
+    telemetry::Counter& c =
+        telem_->registry().counter(telemetry::kTcpCounters[i]);
+    c.inc(sums[i] - c.value());
   }
   return telem_->snapshot();
 }

@@ -53,7 +53,6 @@ struct ExperimentConfig {
   // Scheme parameters: the sender-policy knobs, handed to the scheme
   // registry's factory as they are.
   lb::LbTuning lb;
-  lb::MptcpConfig mptcp;
 
   // Host template (gro is overridden per scheme unless `force_gro` is set).
   host::HostConfig host;
@@ -160,9 +159,11 @@ class Experiment {
   std::string export_trace_json();
   /// Renders the sampled time series as CSV (empty when sampling is off).
   std::string export_timeseries_csv();
-  /// Publishes end-of-run derived metrics (flowcells per flow) and returns
-  /// the registry snapshot. Empty when telemetry is disabled.
-  /// Safe to call repeatedly; derived metrics are published once.
+  /// Publishes end-of-run derived metrics (flowcells per flow) and the
+  /// tcp.* counters (each the sum of TcpSenderStats over every host's
+  /// senders, MPTCP subflows included) and returns the registry snapshot.
+  /// Empty when telemetry is disabled. Safe to call repeatedly; the
+  /// derived metrics are published once, the tcp.* counters are current.
   telemetry::Snapshot telemetry_snapshot();
 
   /// Null unless cfg.telemetry.fabric.monitors.

@@ -5,13 +5,38 @@
 
 namespace presto::host {
 
+namespace {
+
+/// NIC interrupt coalescing: fire when this many packets are waiting, or
+/// this long after the first packet of a batch arrived (models adaptive-rx
+/// under 10 GbE load; larger batches let GRO build near-64 KB segments as
+/// on the paper's testbed).
+constexpr std::uint32_t kCoalescePackets = 128;
+constexpr sim::Time kCoalesceDelay = 50 * sim::kMicrosecond;
+/// A preemption stall (HostConfig::preempt_probability) lasts
+/// uniform[kPreemptMin, kPreemptMax).
+constexpr sim::Time kPreemptMin = 200 * sim::kMicrosecond;
+constexpr sim::Time kPreemptMax = 1 * sim::kMillisecond;
+/// Per-ACK stack cost (ACKs bypass GRO aggregation).
+constexpr sim::Time kPerAckCost = 300 * sim::kNanosecond;
+/// Model of ring overflow: packets are dropped while the receive CPU is
+/// backlogged beyond this bound (receive livelock protection).
+constexpr sim::Time kRingBacklogLimit = 2 * sim::kMillisecond;
+/// Re-flush cadence while Presto GRO holds segments (so held segments
+/// cannot stall when the NIC goes idle).
+constexpr sim::Time kHeldFlushInterval = 20 * sim::kMicrosecond;
+/// The flight recorder samples cwnd/srtt of this many senders per host.
+constexpr std::uint32_t kFlowSeries = 4;
+
+}  // namespace
+
 Host::Host(sim::Simulation& sim, net::HostId id, HostConfig cfg)
     : sim_(sim),
       id_(id),
       cfg_(std::move(cfg)),
       uplink_(sim, cfg_.uplink, net::kHostNodeBit | id, 0),
       jitter_rng_(cfg_.jitter_seed ^ (0x9E37ULL * (id + 1))),
-      cpu_(sim, cfg_.cpu_costs) {
+      cpu_(sim) {
   auto push = [this](offload::Segment s) {
     pending_segments_.push_back(std::move(s));
   };
@@ -31,39 +56,15 @@ Host::Host(sim::Simulation& sim, net::HostId id, HostConfig cfg)
   }
 }
 
-tcp::TcpSender& Host::create_sender(const net::FlowKey& flow) {
-  return create_sender(flow, cfg_.tcp);
-}
-
-tcp::TcpSender& Host::create_sender(const net::FlowKey& flow,
-                                    const tcp::TcpConfig& tcp_cfg) {
-  tcp::TcpConfig cfg = tcp_cfg;
-  // Route loss-recovery signals into the vSwitch LB policy so path-aware
-  // policies (FlowcellEngine suspicion) can react locally; pre-set hooks
-  // (e.g. from MPTCP's per-subflow wiring) are preserved.
-  if (!cfg.on_retransmit) {
-    cfg.on_retransmit = [this](const net::FlowKey& f, std::uint64_t hole,
-                               bool timeout) {
-      if (lb_ != nullptr) lb_->on_loss_signal(f, hole, timeout);
-    };
-  }
-  if (!cfg.on_spurious_recovery) {
-    cfg.on_spurious_recovery = [this](const net::FlowKey& f) {
-      if (lb_ != nullptr) lb_->on_recovery_signal(f);
-    };
-  }
-  if (!cfg.on_ack_progress) {
-    cfg.on_ack_progress = [this](const net::FlowKey& f, std::uint64_t acked,
-                                 sim::Time srtt) {
-      if (lb_ != nullptr) lb_->on_ack_progress(f, acked, srtt);
-    };
-  }
+tcp::TcpSender& Host::create_sender(
+    const net::FlowKey& flow, std::unique_ptr<tcp::CongestionControl> cc) {
+  tcp::SenderFeedback* feedback = this;
   auto sender = std::make_unique<tcp::TcpSender>(
-      sim_, flow, cfg,
-      [this](net::Packet&& seg) { egress_segment(std::move(seg)); });
+      sim_, flow, [this](net::Packet&& seg) { egress_segment(std::move(seg)); },
+      feedback, std::move(cc));
   auto [it, inserted] = senders_.insert_or_assign(flow, std::move(sender));
   (void)inserted;
-  if (cfg_.sampler != nullptr && flow_series_made_ < cfg_.flow_series) {
+  if (cfg_.sampler != nullptr && flow_series_made_ < kFlowSeries) {
     // Sample through find_sender, not the TcpSender pointer: a later
     // insert_or_assign for the same flow must not leave a dangling capture.
     const std::string base = "host" + std::to_string(id_) + ".flow" +
@@ -121,9 +122,9 @@ void Host::egress_segment(net::Packet&& seg) {
       jitter_rng_.below(static_cast<std::uint64_t>(cfg_.tx_jitter)));
   if (cfg_.preempt_probability > 0 &&
       jitter_rng_.uniform() < cfg_.preempt_probability) {
-    extra += cfg_.preempt_min +
-             static_cast<sim::Time>(jitter_rng_.below(static_cast<std::uint64_t>(
-                 cfg_.preempt_max - cfg_.preempt_min)));
+    extra += kPreemptMin +
+             static_cast<sim::Time>(jitter_rng_.below(
+                 static_cast<std::uint64_t>(kPreemptMax - kPreemptMin)));
   }
   const sim::Time depart = std::max(now, egress_free_at_) + extra;
   egress_free_at_ = depart;
@@ -139,6 +140,20 @@ void Host::egress_segment(net::Packet&& seg) {
       egress_now(std::move(seg));
     });
   }
+}
+
+void Host::on_retransmit(const net::FlowKey& flow, std::uint64_t hole_seq,
+                         bool timeout) {
+  if (lb_ != nullptr) lb_->on_loss_signal(flow, hole_seq, timeout);
+}
+
+void Host::on_spurious_recovery(const net::FlowKey& flow) {
+  if (lb_ != nullptr) lb_->on_recovery_signal(flow);
+}
+
+void Host::on_ack_progress(const net::FlowKey& flow, std::uint64_t snd_una,
+                           sim::Time srtt) {
+  if (lb_ != nullptr) lb_->on_ack_progress(flow, snd_una, srtt);
 }
 
 void Host::egress_now(net::Packet&& seg) {
@@ -159,7 +174,7 @@ void Host::egress_now(net::Packet&& seg) {
 void Host::receive(net::Packet p, net::PortId) {
   // Ring overflow: while the receive core is badly backlogged the driver
   // cannot drain the ring and arriving frames are lost.
-  if (cpu_.backlog() > cfg_.ring_backlog_limit) {
+  if (cpu_.backlog() > kRingBacklogLimit) {
     ++ring_drops_;
     // No host drop probes exist: the shared fan-out reaches only the tap.
     net::record_drop(nullptr, tap_, sim_.now(), net::kHostNodeBit | id_, -1,
@@ -168,11 +183,11 @@ void Host::receive(net::Packet p, net::PortId) {
   }
   if (tap_ != nullptr) tap_->on_host_rx(id_, p);
   ring_.push_back(std::move(p));
-  if (ring_.size() >= cfg_.coalesce_packets) {
+  if (ring_.size() >= kCoalescePackets) {
     nic_interrupt();
   } else if (!interrupt_scheduled_) {
     interrupt_scheduled_ = true;
-    sim_.schedule(cfg_.coalesce_delay, [this] {
+    sim_.schedule(kCoalesceDelay, [this] {
       if (interrupt_scheduled_) nic_interrupt();
     });
   }
@@ -192,7 +207,7 @@ void Host::nic_interrupt() {
     cost += cfg_.cpu_costs.per_packet;
     if (presto) cost += cfg_.cpu_costs.presto_extra_per_packet;
     if (p.is_ack) {
-      cost += cfg_.per_ack_cost;
+      cost += kPerAckCost;
       acks.push_back(std::move(p));
     } else if (gro_ != nullptr) {
       gro_->on_packet(p, now);
@@ -226,7 +241,7 @@ void Host::schedule_held_flush() {
     return;
   }
   held_flush_pending_ = true;
-  sim_.schedule(cfg_.held_flush_interval, [this] { held_flush(); });
+  sim_.schedule(kHeldFlushInterval, [this] { held_flush(); });
 }
 
 void Host::dispatch(std::vector<offload::Segment> segments,

@@ -47,14 +47,7 @@ struct HostConfig {
   offload::CpuCosts cpu_costs;
   GroKind gro = GroKind::kOfficial;
   offload::PrestoGroConfig presto_gro;
-  tcp::TcpConfig tcp;
 
-  /// NIC interrupt coalescing: fire when this many packets are waiting...
-  /// (models adaptive-rx under 10 GbE load; larger batches let GRO build
-  /// near-64 KB segments as on the paper's testbed).
-  std::uint32_t coalesce_packets = 128;
-  /// ...or this long after the first packet of a batch arrived.
-  sim::Time coalesce_delay = 50 * sim::kMicrosecond;
   /// Sender-side OS/NIC scheduling jitter: each egress segment is delayed by
   /// uniform[0, tx_jitter) while preserving per-host order. Real hosts show
   /// microsecond-scale burst jitter (Kapoor et al., "Bullet Trains",
@@ -62,36 +55,24 @@ struct HostConfig {
   /// spraying stays artificially synchronized and never reorders.
   sim::Time tx_jitter = 2 * sim::kMicrosecond;
   /// Rare long stalls (OS scheduler preemption, softirq storms): with this
-  /// probability an egress segment is additionally delayed by
-  /// uniform[preempt_min, preempt_max). These sub-millisecond pauses are the
-  /// natural source of the >=500 us inter-segment gaps that create flowlets
-  /// in real transfers (the paper's Figure 1).
+  /// probability an egress segment is additionally delayed by a
+  /// sub-millisecond pause (host.cc). These pauses are the natural source
+  /// of the >=500 us inter-segment gaps that create flowlets in real
+  /// transfers (the paper's Figure 1).
   double preempt_probability = 0.002;
-  sim::Time preempt_min = 200 * sim::kMicrosecond;
-  sim::Time preempt_max = 1 * sim::kMillisecond;
   std::uint64_t jitter_seed = 0x6a77;
-  /// Per-ACK stack cost (ACKs bypass GRO aggregation).
-  sim::Time per_ack_cost = 300 * sim::kNanosecond;
-  /// Model of ring overflow: packets are dropped while the receive CPU is
-  /// backlogged beyond this bound (receive livelock protection).
-  sim::Time ring_backlog_limit = 2 * sim::kMillisecond;
-  /// Re-flush cadence while Presto GRO holds segments (so held segments
-  /// cannot stall when the NIC goes idle).
-  sim::Time held_flush_interval = 20 * sim::kMicrosecond;
-  /// GRO-layer telemetry probes (null disables; set by the harness — TCP
-  /// probes travel inside `tcp.telemetry`).
+  /// GRO-layer telemetry probes (null disables; set by the harness).
   const telemetry::GroProbes* gro_telemetry = nullptr;
 
   /// Flight recorder (null disables; set by the harness). The sampler gets
-  /// per-flow cwnd/srtt series for the first `flow_series` senders created
-  /// on this host; the span tracer is handed to every receiver so in-order
-  /// delivery closes flowcell spans.
+  /// per-flow cwnd/srtt series for the first few senders created on this
+  /// host; the span tracer is handed to every receiver so in-order delivery
+  /// closes flowcell spans.
   telemetry::TimeSeriesSampler* sampler = nullptr;
   telemetry::SpanTracer* span_tracer = nullptr;
-  std::uint32_t flow_series = 4;
 };
 
-class Host : public net::PacketSink {
+class Host : public net::PacketSink, private tcp::SenderFeedback {
  public:
   using SegmentTap = std::function<void(const offload::Segment&)>;
 
@@ -107,10 +88,11 @@ class Host : public net::PacketSink {
   }
   lb::SenderLb* lb() { return lb_.get(); }
 
-  /// Creates the sending endpoint of a connection rooted at this host.
-  tcp::TcpSender& create_sender(const net::FlowKey& flow);
-  tcp::TcpSender& create_sender(const net::FlowKey& flow,
-                                const tcp::TcpConfig& tcp_cfg);
+  /// Creates the sending endpoint of a connection rooted at this host. It
+  /// runs CUBIC unless `cc` supplies another controller (MPTCP subflows).
+  tcp::TcpSender& create_sender(
+      const net::FlowKey& flow,
+      std::unique_ptr<tcp::CongestionControl> cc = nullptr);
   /// Creates the receiving endpoint for `data_flow` (dst must be this host).
   tcp::TcpReceiver& create_receiver(const net::FlowKey& data_flow);
 
@@ -171,6 +153,14 @@ class Host : public net::PacketSink {
   void deliver_ack(const net::Packet& p);
   /// Post-jitter egress: LB stamping + TSO split + uplink enqueue.
   void egress_now(net::Packet&& seg);
+
+  // tcp::SenderFeedback: every sender's signals go to the current LB
+  // policy (read at call time, so set_lb may replace it).
+  void on_retransmit(const net::FlowKey& flow, std::uint64_t hole_seq,
+                     bool timeout) override;
+  void on_spurious_recovery(const net::FlowKey& flow) override;
+  void on_ack_progress(const net::FlowKey& flow, std::uint64_t snd_una,
+                       sim::Time srtt) override;
 
   /// Spare-vector freelists: interrupt batches hand their capacity back once
   /// the CPU-model callback delivers them, so steady-state polls reuse grown

@@ -4,6 +4,19 @@
 
 namespace presto::lb {
 
+namespace {
+
+/// Subflows per connection: the paper's best-stability setting.
+constexpr std::uint32_t kSubflowCount = 8;
+/// Scheduler allocation unit.
+constexpr std::uint32_t kChunkBytes = 16 * 1024;
+/// A subflow takes another chunk while its (unsent + in-flight) backlog is
+/// below max(kBacklogCwndFactor * cwnd, kMinBacklogBytes).
+constexpr double kBacklogCwndFactor = 2.0;
+constexpr std::uint64_t kMinBacklogBytes = 64 * 1024;
+
+}  // namespace
+
 double CoupledGroup::alpha() const {
   double max_term = 0;
   double sum_term = 0;
@@ -16,12 +29,8 @@ double CoupledGroup::alpha() const {
   return total_cwnd() * max_term / (sum_term * sum_term);
 }
 
-CoupledCc::CoupledCc(std::shared_ptr<CoupledGroup> group, std::size_t index,
-                     tcp::CcConfig cfg)
-    : group_(std::move(group)),
-      index_(index),
-      cfg_(cfg),
-      ssthresh_(cfg.max_cwnd_bytes) {}
+CoupledCc::CoupledCc(std::shared_ptr<CoupledGroup> group, std::size_t index)
+    : group_(std::move(group)), index_(index), ssthresh_(tcp::kMaxCwndBytes) {}
 
 double CoupledCc::cwnd_bytes() const {
   return group_->member(index_).cwnd_bytes;
@@ -37,23 +46,23 @@ void CoupledCc::on_ack(std::uint64_t acked, sim::Time, sim::Time srtt) {
     const double a = group_->alpha();
     const double total = group_->total_cwnd();
     const double inc =
-        std::min(a * static_cast<double>(acked) * cfg_.mss / total,
-                 static_cast<double>(acked) * cfg_.mss / m.cwnd_bytes);
+        std::min(a * static_cast<double>(acked) * net::kMss / total,
+                 static_cast<double>(acked) * net::kMss / m.cwnd_bytes);
     m.cwnd_bytes += inc;
   }
-  m.cwnd_bytes = std::min(m.cwnd_bytes, cfg_.max_cwnd_bytes);
+  m.cwnd_bytes = std::min(m.cwnd_bytes, tcp::kMaxCwndBytes);
 }
 
 void CoupledCc::on_loss_event(sim::Time) {
   CoupledGroup::Member& m = group_->member(index_);
-  m.cwnd_bytes = std::max(m.cwnd_bytes / 2.0, 2.0 * cfg_.mss);
+  m.cwnd_bytes = std::max(m.cwnd_bytes / 2.0, 2.0 * net::kMss);
   ssthresh_ = m.cwnd_bytes;
 }
 
 void CoupledCc::on_timeout(sim::Time) {
   CoupledGroup::Member& m = group_->member(index_);
-  ssthresh_ = std::max(m.cwnd_bytes / 2.0, 2.0 * cfg_.mss);
-  m.cwnd_bytes = cfg_.mss;
+  ssthresh_ = std::max(m.cwnd_bytes / 2.0, 2.0 * net::kMss);
+  m.cwnd_bytes = net::kMss;
 }
 
 void CoupledCc::undo(double prior_cwnd, double prior_ssthresh) {
@@ -65,31 +74,45 @@ void CoupledCc::undo(double prior_cwnd, double prior_ssthresh) {
 MptcpConnection::MptcpConnection(sim::Simulation& sim, host::Host& src,
                                  host::Host& dst, net::FlowKey base_flow,
                                  MptcpConfig cfg)
-    : sim_(sim), cfg_(cfg), group_(std::make_shared<CoupledGroup>()) {
-  subflows_.resize(cfg_.subflow_count);
-  for (std::uint32_t i = 0; i < cfg_.subflow_count; ++i) {
+    : sim_(sim),
+      cfg_(cfg),
+      watchdog_origin_(sim.now()),
+      group_(std::make_shared<CoupledGroup>()) {
+  subflows_.resize(kSubflowCount);
+  for (std::uint32_t i = 0; i < kSubflowCount; ++i) {
     net::FlowKey key = base_flow;
     key.src_port = base_flow.src_port + i;
-    tcp::TcpConfig sub_cfg = cfg_.tcp;
     const std::size_t member =
-        group_->add_member(sub_cfg.cc_cfg.initial_cwnd_mss *
-                           sub_cfg.cc_cfg.mss);
-    auto group = group_;
-    sub_cfg.cc_factory = [group, member](const tcp::CcConfig& cc_cfg) {
-      return std::make_unique<CoupledCc>(group, member, cc_cfg);
-    };
+        group_->add_member(tcp::kInitialCwndMss * net::kMss);
     Subflow& sf = subflows_[i];
-    sf.sender = &src.create_sender(key, sub_cfg);
+    sf.sender = &src.create_sender(
+        key, std::make_unique<CoupledCc>(group_, member));
     sf.receiver = &dst.create_receiver(key);
     sf.sender->set_on_acked([this](std::uint64_t) { pump(); });
     sf.receiver->set_on_delivered([this, i](std::uint64_t rcv_nxt) {
       on_subflow_delivered(i, rcv_nxt);
     });
   }
-  sim_.schedule(cfg_.watchdog_interval, [this] { watchdog(); });
+  arm_watchdog();
+}
+
+void MptcpConnection::arm_watchdog() {
+  watchdog_armed_ = true;
+  const sim::Time k = (sim_.now() - watchdog_origin_) / cfg_.watchdog_interval;
+  sim_.schedule_at(watchdog_origin_ + (k + 1) * cfg_.watchdog_interval,
+                   [this] { watchdog(); });
+}
+
+bool MptcpConnection::quiet() const {
+  if (conn_assigned_ < conn_total_ || !reinject_queue_.empty()) return false;
+  for (const Subflow& sf : subflows_) {
+    if (!sf.sender->idle()) return false;
+  }
+  return true;
 }
 
 void MptcpConnection::watchdog() {
+  watchdog_armed_ = false;
   const sim::Time now = sim_.now();
   for (Subflow& sf : subflows_) {
     // An RTO is a strong signal the path is bad: reinject everything the
@@ -107,7 +130,9 @@ void MptcpConnection::watchdog() {
     }
   }
   if (!reinject_queue_.empty()) pump();
-  sim_.schedule(cfg_.watchdog_interval, [this] { watchdog(); });
+  // A quiet connection has nothing to reinject until send() offers more
+  // bytes, and send() re-arms the scan on the same grid.
+  if (!quiet()) arm_watchdog();
 }
 
 void MptcpConnection::assign_chunk(Subflow& sf, std::uint64_t conn_start,
@@ -121,6 +146,7 @@ void MptcpConnection::assign_chunk(Subflow& sf, std::uint64_t conn_start,
 void MptcpConnection::send(std::uint64_t bytes) {
   conn_total_ += bytes;
   pump();
+  if (!watchdog_armed_) arm_watchdog();
 }
 
 void MptcpConnection::pump() {
@@ -139,8 +165,8 @@ void MptcpConnection::pump() {
       const std::uint64_t backlog =
           sf.sender->stream_end() - sf.sender->acked_bytes();
       const auto limit = static_cast<std::uint64_t>(std::max(
-          cfg_.backlog_cwnd_factor * sf.sender->cwnd_bytes(),
-          static_cast<double>(cfg_.min_backlog_bytes)));
+          kBacklogCwndFactor * sf.sender->cwnd_bytes(),
+          static_cast<double>(kMinBacklogBytes)));
       if (backlog >= limit) continue;
       if (!reinject_queue_.empty()) {
         // Reinjected ranges take priority over fresh data.
@@ -151,7 +177,7 @@ void MptcpConnection::pump() {
         // too (the age gate bounds the duplication rate).
       } else {
         const std::uint64_t len = std::min<std::uint64_t>(
-            cfg_.chunk_bytes, conn_total_ - conn_assigned_);
+            kChunkBytes, conn_total_ - conn_assigned_);
         assign_chunk(sf, conn_assigned_, len);
         conn_assigned_ += len;
       }

@@ -31,19 +31,14 @@
 namespace presto::lb {
 
 struct MptcpConfig {
-  std::uint32_t subflow_count = 8;  ///< Paper's best-stability setting.
-  std::uint32_t chunk_bytes = 16 * 1024;  ///< Scheduler allocation unit.
-  /// Keep a subflow's (unsent + in-flight) backlog below
-  /// max(backlog_cwnd_factor * cwnd, min_backlog_bytes).
-  double backlog_cwnd_factor = 2.0;
-  std::uint64_t min_backlog_bytes = 64 * 1024;
   /// Opportunistic reinjection (Linux MPTCP): a chunk stuck behind a slow or
   /// timed-out subflow for this long is re-sent on another subflow so one
   /// bad path cannot head-of-line block the connection. Each mapping is
   /// reinjected at most once.
   sim::Time reinject_after = 50 * sim::kMillisecond;
+  /// Reinjection scan period. The scan runs on the grid construction time
+  /// + k * interval and pauses while the connection is quiet.
   sim::Time watchdog_interval = 10 * sim::kMillisecond;
-  tcp::TcpConfig tcp;  ///< Per-subflow base config (cc is replaced).
 };
 
 /// Shared state of one connection's coupled controllers.
@@ -76,8 +71,7 @@ class CoupledGroup {
 /// Per-subflow coupled congestion control (LIA increase, AIMD decrease).
 class CoupledCc final : public tcp::CongestionControl {
  public:
-  CoupledCc(std::shared_ptr<CoupledGroup> group, std::size_t index,
-            tcp::CcConfig cfg);
+  CoupledCc(std::shared_ptr<CoupledGroup> group, std::size_t index);
 
   void on_ack(std::uint64_t acked, sim::Time now, sim::Time srtt) override;
   void on_loss_event(sim::Time now) override;
@@ -85,12 +79,10 @@ class CoupledCc final : public tcp::CongestionControl {
   void undo(double prior_cwnd, double prior_ssthresh) override;
   double cwnd_bytes() const override;
   double ssthresh_bytes() const override { return ssthresh_; }
-  bool in_slow_start() const override { return cwnd_bytes() < ssthresh_; }
 
  private:
   std::shared_ptr<CoupledGroup> group_;
   std::size_t index_;
-  tcp::CcConfig cfg_;
   double ssthresh_;
 };
 
@@ -146,13 +138,21 @@ class MptcpConnection {
   /// Tops up subflows with chunks from the connection stream (round robin).
   void pump();
   void on_subflow_delivered(std::size_t idx, std::uint64_t sub_rcv_nxt);
-  /// Periodic scan for stuck mappings to reinject.
+  /// Periodic scan for stuck mappings to reinject; stops rescheduling
+  /// itself once quiet() holds.
   void watchdog();
+  /// Schedules the next scan at the first grid point after now.
+  void arm_watchdog();
+  /// Everything offered is assigned, nothing awaits reinjection and every
+  /// subflow has all of its bytes acknowledged.
+  bool quiet() const;
   /// Appends `len` bytes of connection range [conn_start, ..) to subflow sf.
   void assign_chunk(Subflow& sf, std::uint64_t conn_start, std::uint64_t len);
 
   sim::Simulation& sim_;
   MptcpConfig cfg_;
+  sim::Time watchdog_origin_;
+  bool watchdog_armed_ = false;
   std::vector<Subflow> subflows_;
   std::shared_ptr<CoupledGroup> group_;
   std::uint64_t conn_total_ = 0;        // bytes offered by the app

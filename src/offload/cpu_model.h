@@ -42,10 +42,7 @@ struct CpuCosts {
 /// Single-core FIFO executor with utilization accounting.
 class CpuModel {
  public:
-  CpuModel(sim::Simulation& sim, CpuCosts costs = {})
-      : sim_(sim), costs_(costs) {}
-
-  const CpuCosts& costs() const { return costs_; }
+  explicit CpuModel(sim::Simulation& sim) : sim_(sim) {}
 
   /// Enqueues `cost_ns` of work; runs `done` when it completes (FIFO).
   void submit(sim::Time cost_ns, sim::EventFn done) {
@@ -65,7 +62,6 @@ class CpuModel {
 
  private:
   sim::Simulation& sim_;
-  CpuCosts costs_;
   sim::Time free_at_ = 0;
   sim::Time busy_ns_ = 0;
 };

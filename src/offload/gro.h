@@ -17,6 +17,9 @@
 
 namespace presto::offload {
 
+/// Both engines stop merging at the 64 KB sk_buff cap.
+inline constexpr std::uint32_t kMaxGroSegmentBytes = net::kMaxTsoBytes;
+
 /// Why a GRO engine pushed a segment up (Algorithm 2 branches); counted
 /// per cause in GroProbes.
 enum class FlushCause : std::uint8_t {

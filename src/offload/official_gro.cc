@@ -9,7 +9,8 @@ void OfficialGro::on_packet(const net::Packet& p, sim::Time now) {
     return;
   }
   Segment& seg = it->second;
-  if (p.seq == seg.end_seq && seg.bytes() + p.payload <= max_bytes_) {
+  if (p.seq == seg.end_seq &&
+      seg.bytes() + p.payload <= kMaxGroSegmentBytes) {
     // In-order continuation: merge. (Stock GRO keys purely on the flow and
     // sequence contiguity; it is unaware of Presto flowcell IDs.)
     seg.end_seq = p.end_seq();

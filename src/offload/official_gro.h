@@ -15,10 +15,7 @@ namespace presto::offload {
 
 class OfficialGro : public GroEngine {
  public:
-  /// `max_segment_bytes` models the 64 KB sk_buff cap.
-  explicit OfficialGro(PushFn push,
-                       std::uint32_t max_segment_bytes = net::kMaxTsoBytes)
-      : GroEngine(std::move(push)), max_bytes_(max_segment_bytes) {}
+  explicit OfficialGro(PushFn push) : GroEngine(std::move(push)) {}
 
   void on_packet(const net::Packet& p, sim::Time now) override;
   void flush(sim::Time now) override;
@@ -37,7 +34,6 @@ class OfficialGro : public GroEngine {
   }
 
  private:
-  std::uint32_t max_bytes_;
   std::unordered_map<net::FlowKey, Segment, net::FlowKeyHash> gro_list_;
 };
 

@@ -4,6 +4,16 @@
 
 namespace presto::offload {
 
+namespace {
+
+/// Misclassification feedback: if a timed-out ("presumed lost") gap is later
+/// filled by a stale arrival within this window, the event was really
+/// reordering — fold its duration into the EWMA so the timeout adapts upward
+/// instead of misfiring repeatedly.
+constexpr sim::Time kMisfireWindow = 5 * sim::kMillisecond;
+
+}  // namespace
+
 void PrestoGro::on_packet(const net::Packet& p, sim::Time now) {
   FlowState& f = flows_[p.flow];
   // Try to merge into an existing segment. Newest segments sit at the back,
@@ -13,7 +23,7 @@ void PrestoGro::on_packet(const net::Packet& p, sim::Time now) {
   for (auto it = f.segments.rbegin(); it != f.segments.rend(); ++it) {
     Segment& seg = *it;
     if (p.flowcell_id == seg.flowcell && p.seq == seg.end_seq &&
-        seg.bytes() + p.payload <= cfg_.max_segment_bytes) {
+        seg.bytes() + p.payload <= kMaxGroSegmentBytes) {
       seg.end_seq = p.end_seq();
       ++seg.pkt_count;
       seg.contains_retx = seg.contains_retx || p.is_retx;
@@ -88,7 +98,7 @@ void PrestoGro::flush(sim::Time now) {
         // arrival of a gap we already declared lost (line 20). In the
         // latter case the timeout misfired on reordering: learn from it.
         if (f.last_timeout_at != 0 &&
-            now - f.last_timeout_at < cfg_.misfire_window) {
+            now - f.last_timeout_at < kMisfireWindow) {
           ewma_update(
               f, static_cast<double>(now - f.last_timeout_gap_start));
           f.last_timeout_at = 0;

@@ -30,12 +30,6 @@ struct PrestoGroConfig {
   /// durations, so it tracks upward quickly and decays slowly.
   double ewma_gain_up = 0.5;     ///< Weight of a sample above the EWMA.
   double ewma_gain_down = 0.03;  ///< Weight of a sample below the EWMA.
-  std::uint32_t max_segment_bytes = net::kMaxTsoBytes;
-  /// Misclassification feedback: if a timed-out ("presumed lost") gap is
-  /// later filled by a stale arrival within this window, the event was
-  /// really reordering — fold its duration into the EWMA so the timeout
-  /// adapts upward instead of misfiring repeatedly.
-  sim::Time misfire_window = 5 * sim::kMillisecond;
   /// Bounds on the learned EWMA: the floor keeps sub-interrupt-coalescing
   /// samples from arming a hair-trigger timeout; the ceiling keeps loss
   /// recovery responsive.
@@ -82,7 +76,7 @@ class PrestoGro : public GroEngine {
     std::uint64_t exp_seq = 0;
     /// EWMA of observed reordering durations at flowcell boundaries.
     double ewma_ns = 0;  // 0 => use cfg_.initial_ewma
-    /// Bookkeeping for misfire feedback (see PrestoGroConfig).
+    /// Bookkeeping for misfire feedback (kMisfireWindow, presto_gro.cc).
     sim::Time last_timeout_at = 0;
     sim::Time last_timeout_gap_start = 0;
   };

@@ -1,13 +1,10 @@
 // Congestion-control algorithms.
 //
-// The testbed ran Linux defaults (TCP CUBIC, §4); NewReno is provided both as
-// a simpler baseline and as the per-subflow basis of the MPTCP coupled
-// controller (src/lb/mptcp).
+// The testbed ran Linux defaults (TCP CUBIC, §4). The MPTCP baseline's
+// coupled controller (src/lb/mptcp) implements the same interface.
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
-#include <memory>
 
 #include "net/packet.h"
 #include "sim/time.h"
@@ -32,66 +29,18 @@ class CongestionControl {
 
   virtual double cwnd_bytes() const = 0;
   virtual double ssthresh_bytes() const = 0;
-  virtual bool in_slow_start() const = 0;
 };
 
-/// Shared tunables.
-struct CcConfig {
-  std::uint32_t mss = net::kMss;
-  double initial_cwnd_mss = 10;           // Linux IW10
-  double max_cwnd_bytes = 1.5 * 1024 * 1024;
-};
-
-/// Classic NewReno AIMD.
-class RenoCc final : public CongestionControl {
- public:
-  explicit RenoCc(CcConfig cfg = {}) : cfg_(cfg) {
-    cwnd_ = cfg_.initial_cwnd_mss * cfg_.mss;
-    ssthresh_ = cfg_.max_cwnd_bytes;
-  }
-
-  void on_ack(std::uint64_t acked, sim::Time, sim::Time) override {
-    if (cwnd_ < ssthresh_) {
-      cwnd_ += static_cast<double>(acked);  // slow start
-    } else {
-      cwnd_ += static_cast<double>(acked) * cfg_.mss / cwnd_;  // CA
-    }
-    cwnd_ = std::min(cwnd_, cfg_.max_cwnd_bytes);
-  }
-
-  void on_loss_event(sim::Time) override {
-    ssthresh_ = std::max(cwnd_ / 2.0, 2.0 * cfg_.mss);
-    cwnd_ = ssthresh_;
-  }
-
-  void on_timeout(sim::Time) override {
-    ssthresh_ = std::max(cwnd_ / 2.0, 2.0 * cfg_.mss);
-    cwnd_ = cfg_.mss;
-  }
-
-  void undo(double prior_cwnd, double prior_ssthresh) override {
-    cwnd_ = std::max(cwnd_, prior_cwnd);
-    ssthresh_ = std::max(ssthresh_, prior_ssthresh);
-  }
-
-  double cwnd_bytes() const override { return cwnd_; }
-  double ssthresh_bytes() const override { return ssthresh_; }
-  bool in_slow_start() const override { return cwnd_ < ssthresh_; }
-
- private:
-  CcConfig cfg_;
-  double cwnd_;
-  double ssthresh_;
-};
+/// Window bounds shared by every controller (and checked by
+/// TcpSender::check_invariants): Linux IW10 and a 1.5 MB ceiling.
+inline constexpr double kInitialCwndMss = 10;
+inline constexpr double kMaxCwndBytes = 1.5 * 1024 * 1024;
 
 /// TCP CUBIC (Ha, Rhee, Xu — the Linux default the paper runs).
 /// Window growth W(t) = C*(t-K)^3 + W_max with a TCP-friendly floor.
 class CubicCc final : public CongestionControl {
  public:
-  explicit CubicCc(CcConfig cfg = {}) : cfg_(cfg) {
-    cwnd_ = cfg_.initial_cwnd_mss * cfg_.mss;
-    ssthresh_ = cfg_.max_cwnd_bytes;
-  }
+  CubicCc() : cwnd_(kInitialCwndMss * net::kMss), ssthresh_(kMaxCwndBytes) {}
 
   void on_ack(std::uint64_t acked, sim::Time now, sim::Time srtt) override;
   void on_loss_event(sim::Time now) override;
@@ -100,7 +49,6 @@ class CubicCc final : public CongestionControl {
 
   double cwnd_bytes() const override { return cwnd_; }
   double ssthresh_bytes() const override { return ssthresh_; }
-  bool in_slow_start() const override { return cwnd_ < ssthresh_; }
 
  private:
   double cubic_target(sim::Time now, sim::Time srtt) const;
@@ -108,7 +56,6 @@ class CubicCc final : public CongestionControl {
   static constexpr double kC = 0.4;       // cubic scaling (segments/sec^3)
   static constexpr double kBeta = 0.7;    // multiplicative decrease
 
-  CcConfig cfg_;
   double cwnd_;
   double ssthresh_;
   // Cubic epoch state.
@@ -117,10 +64,5 @@ class CubicCc final : public CongestionControl {
   double k_seconds_ = 0;        // time to reach w_max again
   double tcp_friendly_mss_ = 0; // Reno-equivalent window estimate
 };
-
-enum class CcKind { kCubic, kReno };
-
-/// Factory used by TcpSender construction.
-std::unique_ptr<CongestionControl> make_cc(CcKind kind, const CcConfig& cfg);
 
 }  // namespace presto::tcp

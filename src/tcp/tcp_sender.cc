@@ -4,15 +4,29 @@
 
 namespace presto::tcp {
 
-TcpSender::TcpSender(sim::Simulation& sim, net::FlowKey flow, TcpConfig cfg,
-                     EmitFn emit)
+namespace {
+
+/// Largest segment template handed down per emit (TSO limit).
+constexpr std::uint32_t kMaxSegmentBytes = net::kMaxTsoBytes;
+constexpr std::uint32_t kDupackThreshold = 3;
+constexpr sim::Time kMinRto = 200 * sim::kMillisecond;  // Linux default floor
+constexpr sim::Time kMaxRto = 4 * sim::kSecond;
+/// SACK-bytes threshold (in MSS) that triggers recovery without waiting for
+/// the dup-ACK count: GRO merges many packets into one ACK, so byte
+/// accounting, not ACK counting, detects loss (cf. RFC 6675 / FACK).
+constexpr std::uint32_t kSackLossMss = 3;
+
+}  // namespace
+
+TcpSender::TcpSender(sim::Simulation& sim, net::FlowKey flow, EmitFn emit,
+                     SenderFeedback* feedback,
+                     std::unique_ptr<CongestionControl> cc)
     : sim_(sim),
       flow_(flow),
-      cfg_(cfg),
       emit_(std::move(emit)),
-      cc_(cfg_.cc_factory ? cfg_.cc_factory(cfg_.cc_cfg)
-                          : make_cc(cfg_.cc, cfg_.cc_cfg)),
-      rto_(cfg.min_rto) {}
+      feedback_(feedback),
+      cc_(cc != nullptr ? std::move(cc) : std::make_unique<CubicCc>()),
+      rto_(kMinRto) {}
 
 void TcpSender::app_write(std::uint64_t bytes) {
   stream_end_ += bytes;
@@ -42,7 +56,7 @@ std::uint64_t TcpSender::next_hole(std::uint64_t from) const {
 }
 
 void TcpSender::try_send() {
-  const auto mss = static_cast<std::uint64_t>(cfg_.cc_cfg.mss);
+  const auto mss = static_cast<std::uint64_t>(net::kMss);
   while (true) {
     const std::uint64_t pipe = in_flight();
     const auto cwnd = static_cast<std::uint64_t>(cc_->cwnd_bytes());
@@ -56,7 +70,7 @@ void TcpSender::try_send() {
       const std::uint64_t hole = next_hole(retx_next_);
       if (hole < recover_ && hole < snd_nxt_ && hole < fack_) {
         const std::uint64_t hole_end = std::min(
-            {hole + cfg_.max_segment_bytes,
+            {hole + kMaxSegmentBytes,
              sacked_.first_start_above(hole, recover_), recover_, snd_nxt_,
              fack_});
         send_range(hole, hole_end, /*retx=*/true);
@@ -68,7 +82,7 @@ void TcpSender::try_send() {
         stream_end_ > snd_nxt_ ? stream_end_ - snd_nxt_ : 0;
     if (avail == 0) break;
     const std::uint64_t len =
-        std::min({avail, static_cast<std::uint64_t>(cfg_.max_segment_bytes),
+        std::min({avail, static_cast<std::uint64_t>(kMaxSegmentBytes),
                   budget});
     send_range(snd_nxt_, snd_nxt_ + len, /*retx=*/false);
     snd_nxt_ += len;
@@ -91,9 +105,6 @@ void TcpSender::send_range(std::uint64_t start, std::uint64_t end, bool retx) {
     stats_.retransmitted_bytes += end - start;
     retx_pending_ += end - start;
     if (episode_open_) episode_retx_bytes_ += end - start;
-    if (cfg_.telemetry != nullptr) {
-      cfg_.telemetry->retransmitted_bytes->inc(end - start);
-    }
   }
   emit_(std::move(seg));
 }
@@ -122,11 +133,8 @@ void TcpSender::on_ack_packet(const net::Packet& ack) {
     // reordering. Undo the window reduction (Linux-style cwnd undo).
     episode_open_ = false;
     ++stats_.spurious_recoveries;
-    if (cfg_.telemetry != nullptr) {
-      cfg_.telemetry->spurious_recoveries->inc();
-    }
     cc_->undo(undo_cwnd_, undo_ssthresh_);
-    if (cfg_.on_spurious_recovery) cfg_.on_spurious_recovery(flow_);
+    if (feedback_ != nullptr) feedback_->on_spurious_recovery(flow_);
   }
   if (ack.ack > snd_una_) {
     const std::uint64_t delta = ack.ack - snd_una_;
@@ -152,11 +160,8 @@ void TcpSender::on_ack_packet(const net::Packet& ack) {
           // retransmission: the dup-ACK burst was reordering, not loss.
           episode_open_ = false;
           ++stats_.spurious_recoveries;
-          if (cfg_.telemetry != nullptr) {
-            cfg_.telemetry->spurious_recoveries->inc();
-          }
           cc_->undo(undo_cwnd_, undo_ssthresh_);
-          if (cfg_.on_spurious_recovery) cfg_.on_spurious_recovery(flow_);
+          if (feedback_ != nullptr) feedback_->on_spurious_recovery(flow_);
         }
       } else {
         // NewReno partial ACK: the newly exposed hole starts at snd_una and
@@ -173,15 +178,16 @@ void TcpSender::on_ack_packet(const net::Packet& ack) {
       ++rto_generation_;
     }
     if (on_acked_) on_acked_(snd_una_);
-    if (cfg_.on_ack_progress) cfg_.on_ack_progress(flow_, snd_una_, srtt_);
+    if (feedback_ != nullptr) {
+      feedback_->on_ack_progress(flow_, snd_una_, srtt_);
+    }
   } else if (snd_nxt_ > snd_una_) {
     ++dupacks_;
     ++stats_.dup_acks;
-    if (cfg_.telemetry != nullptr) cfg_.telemetry->dup_acks->inc();
     const bool sack_loss =
         sacked_.bytes_in(snd_una_, snd_nxt_) >=
-        static_cast<std::uint64_t>(cfg_.sack_loss_mss) * cfg_.cc_cfg.mss;
-    if (!in_recovery_ && (dupacks_ >= cfg_.dupack_threshold || sack_loss)) {
+        static_cast<std::uint64_t>(kSackLossMss) * net::kMss;
+    if (!in_recovery_ && (dupacks_ >= kDupackThreshold || sack_loss)) {
       enter_recovery();
     }
   }
@@ -193,7 +199,6 @@ void TcpSender::enter_recovery() {
   recover_ = snd_nxt_;
   retx_next_ = snd_una_;
   ++stats_.fast_retransmits;
-  if (cfg_.telemetry != nullptr) cfg_.telemetry->fast_retransmits->inc();
   // Open an undo episode so DSACKs can prove this reduction spurious.
   undo_cwnd_ = cc_->cwnd_bytes();
   undo_ssthresh_ = cc_->ssthresh_bytes();
@@ -201,7 +206,9 @@ void TcpSender::enter_recovery() {
   episode_dsack_bytes_ = 0;
   episode_open_ = true;
   cc_->on_loss_event(sim_.now());
-  if (cfg_.on_retransmit) cfg_.on_retransmit(flow_, snd_una_, /*timeout=*/false);
+  if (feedback_ != nullptr) {
+    feedback_->on_retransmit(flow_, snd_una_, /*timeout=*/false);
+  }
 }
 
 void TcpSender::update_rtt(sim::Time sample) {
@@ -214,7 +221,7 @@ void TcpSender::update_rtt(sim::Time sample) {
     rttvar_ = (3 * rttvar_ + err) / 4;
     srtt_ = (7 * srtt_ + sample) / 8;
   }
-  rto_ = std::clamp(srtt_ + 4 * rttvar_, cfg_.min_rto, cfg_.max_rto);
+  rto_ = std::clamp(srtt_ + 4 * rttvar_, kMinRto, kMaxRto);
 }
 
 void TcpSender::arm_rto() {
@@ -253,15 +260,15 @@ bool TcpSender::check_invariants(std::string* why) const {
     if (recover_ > snd_high_) fail("recover above snd_high");
   }
   // Congestion state: bounds enforced by every CC implementation.
-  const double mss = static_cast<double>(cfg_.cc_cfg.mss);
+  const double mss = static_cast<double>(net::kMss);
   if (cc_->cwnd_bytes() < mss - 0.5) fail("cwnd below one MSS");
-  if (cc_->cwnd_bytes() > cfg_.cc_cfg.max_cwnd_bytes + 0.5) {
+  if (cc_->cwnd_bytes() > kMaxCwndBytes + 0.5) {
     fail("cwnd above max_cwnd_bytes");
   }
   if (cc_->ssthresh_bytes() < 2.0 * mss - 0.5) {
     fail("ssthresh below two MSS");
   }
-  if (rto_ < cfg_.min_rto || rto_ > cfg_.max_rto) {
+  if (rto_ < kMinRto || rto_ > kMaxRto) {
     fail("RTO outside [min_rto, max_rto]");
   }
   // A sender with nothing outstanding must have an empty scoreboard
@@ -275,9 +282,10 @@ bool TcpSender::check_invariants(std::string* why) const {
 void TcpSender::on_rto(std::uint64_t generation) {
   if (generation != rto_generation_ || snd_una_ >= snd_nxt_) return;
   ++stats_.timeouts;
-  if (cfg_.telemetry != nullptr) cfg_.telemetry->rtos->inc();
   episode_open_ = false;  // no undo across an RTO
-  if (cfg_.on_retransmit) cfg_.on_retransmit(flow_, snd_una_, /*timeout=*/true);
+  if (feedback_ != nullptr) {
+    feedback_->on_retransmit(flow_, snd_una_, /*timeout=*/true);
+  }
   cc_->on_timeout(sim_.now());
   // Go-back-N: discard the scoreboard and resend from the cumulative ACK
   // point; bytes the receiver already holds are re-acknowledged instantly.
@@ -287,7 +295,7 @@ void TcpSender::on_rto(std::uint64_t generation) {
   fack_ = snd_una_;
   retx_pending_ = 0;
   snd_nxt_ = snd_una_;
-  rto_ = std::min(rto_ * 2, cfg_.max_rto);  // exponential backoff
+  rto_ = std::min(rto_ * 2, kMaxRto);  // exponential backoff
   rto_armed_ = false;
   try_send();
 }

@@ -13,51 +13,35 @@
 
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <string>
 
 #include "net/packet.h"
 #include "sim/simulation.h"
 #include "tcp/congestion.h"
 #include "tcp/range_set.h"
-#include "telemetry/probes.h"
 
 namespace presto::tcp {
 
-struct TcpConfig {
-  CcKind cc = CcKind::kCubic;
-  CcConfig cc_cfg;
-  /// Optional factory overriding `cc` (used by MPTCP's coupled controller).
-  std::function<std::unique_ptr<CongestionControl>(const CcConfig&)>
-      cc_factory;
-  /// Largest segment template handed down per emit (TSO limit).
-  std::uint32_t max_segment_bytes = net::kMaxTsoBytes;
-  std::uint32_t dupack_threshold = 3;
-  sim::Time min_rto = 200 * sim::kMillisecond;  // Linux default floor
-  sim::Time max_rto = 4 * sim::kSecond;
-  /// SACK-bytes threshold (in MSS) that triggers recovery without waiting
-  /// for the dup-ACK count — GRO merges many packets into one ACK, so byte
-  /// accounting, not ACK counting, detects loss (cf. RFC 6675 / FACK).
-  std::uint32_t sack_loss_mss = 3;
-  /// Experiment-wide telemetry probes (null disables; set by the harness).
-  const telemetry::TcpProbes* telemetry = nullptr;
-  /// Loss-recovery signal to the host datapath: fires on entering fast
-  /// recovery (`timeout`=false) and on each RTO (`timeout`=true), carrying
-  /// the first missing byte (snd_una). The host forwards it to the vSwitch
-  /// LB policy as a path-suspicion hint.
-  std::function<void(const net::FlowKey&, std::uint64_t hole_seq,
-                     bool timeout)>
-      on_retransmit;
-  /// Fires when a recovery episode is undone as spurious (DSACK evidence);
-  /// lets path-aware policies exonerate the paths they blamed.
-  std::function<void(const net::FlowKey&)> on_spurious_recovery;
-  /// Fires whenever the cumulative ACK advances, carrying the new snd_una
-  /// and the smoothed RTT estimate. The host forwards it to the vSwitch LB
-  /// policy so RTT-adaptive schemes (FlowDyn's dynamic flowlet gap) and
-  /// in-flight-gated schemes (Sprinklers' stripe rotation) can observe
-  /// delivery progress without hooking TCP internals.
-  std::function<void(const net::FlowKey&, std::uint64_t snd_una,
-                     sim::Time srtt)>
-      on_ack_progress;
+/// Receives a sender's loss-recovery and delivery-progress signals. The
+/// host implements it and forwards each call to its vSwitch LB policy, so
+/// path-aware policies (FlowcellEngine suspicion), RTT-adaptive ones
+/// (FlowDyn's dynamic flowlet gap) and in-flight-gated ones (Sprinklers'
+/// stripe rotation) observe TCP without hooking its internals.
+class SenderFeedback {
+ public:
+  /// Entering fast recovery (`timeout` = false) or an RTO (`timeout` =
+  /// true), carrying the first missing byte (snd_una).
+  virtual void on_retransmit(const net::FlowKey& flow, std::uint64_t hole_seq,
+                             bool timeout) = 0;
+  /// A recovery episode was undone as spurious (DSACK evidence).
+  virtual void on_spurious_recovery(const net::FlowKey& flow) = 0;
+  /// The cumulative ACK advanced to `snd_una`; `srtt` is the smoothed RTT.
+  virtual void on_ack_progress(const net::FlowKey& flow, std::uint64_t snd_una,
+                               sim::Time srtt) = 0;
+
+ protected:
+  ~SenderFeedback() = default;
 };
 
 /// Counters exposed for tests and experiment reporting.
@@ -77,8 +61,11 @@ class TcpSender {
   using EmitFn = std::function<void(net::Packet&&)>;
   using AckedFn = std::function<void(std::uint64_t snd_una)>;
 
-  TcpSender(sim::Simulation& sim, net::FlowKey flow, TcpConfig cfg,
-            EmitFn emit);
+  /// `feedback` may be null. The sender runs CUBIC unless `cc` supplies
+  /// another controller (MPTCP's coupled one).
+  TcpSender(sim::Simulation& sim, net::FlowKey flow, EmitFn emit,
+            SenderFeedback* feedback = nullptr,
+            std::unique_ptr<CongestionControl> cc = nullptr);
 
   /// Appends `bytes` to the application stream and tries to transmit.
   void app_write(std::uint64_t bytes);
@@ -123,8 +110,8 @@ class TcpSender {
 
   sim::Simulation& sim_;
   net::FlowKey flow_;
-  TcpConfig cfg_;
   EmitFn emit_;
+  SenderFeedback* feedback_;
   AckedFn on_acked_;
   std::unique_ptr<CongestionControl> cc_;
 

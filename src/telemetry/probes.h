@@ -106,15 +106,14 @@ struct GroProbes {
   SpanTracer* spans = nullptr;
 };
 
-/// tcp::TcpSender — loss recovery activity.
-struct TcpProbes {
-  Counter* fast_retransmits = nullptr;
-  Counter* rtos = nullptr;
-  Counter* retransmitted_bytes = nullptr;
-  Counter* dup_acks = nullptr;
-  Counter* spurious_recoveries = nullptr;
-  SpanTracer* spans = nullptr;
-};
+/// tcp::TcpSender loss-recovery counters, in TcpSenderStats order (fast
+/// retransmits, timeouts, retransmitted bytes, dup ACKs, spurious
+/// recoveries). TCP holds no probe: the Session registers these names and
+/// harness::Experiment::telemetry_snapshot() writes each as the sum over
+/// every sender.
+inline constexpr const char* kTcpCounters[] = {
+    "tcp.retx.fast", "tcp.retx.timeout", "tcp.retx.bytes", "tcp.dup_acks",
+    "tcp.spurious_recoveries"};
 
 /// controller::Controller — failure reaction and schedule churn.
 struct ControllerProbes {
@@ -159,7 +158,6 @@ class Session {
   const SwitchProbes* switch_probes() const { return &switch_; }
   const FlowcellProbes* flowcell_probes() const { return &flowcell_; }
   const GroProbes* gro_probes() const { return &gro_; }
-  const TcpProbes* tcp_probes() const { return &tcp_; }
   const ControllerProbes* controller_probes() const { return &controller_; }
   const FaultProbes* fault_probes() const { return &fault_; }
 
@@ -174,7 +172,6 @@ class Session {
   SwitchProbes switch_;
   FlowcellProbes flowcell_;
   GroProbes gro_;
-  TcpProbes tcp_;
   ControllerProbes controller_;
   FaultProbes fault_;
 };

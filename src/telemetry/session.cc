@@ -18,7 +18,6 @@ Session::Session(const TelemetryConfig& cfg) {
   switch_.spans = sp;
   flowcell_.spans = sp;
   gro_.spans = sp;
-  tcp_.spans = sp;
 
   port_.enqueued = &registry_.counter("net.port.enqueued_packets");
   // Drop counters are named after the cause: net.port.dropped.queue_full,
@@ -62,11 +61,7 @@ Session::Session(const TelemetryConfig& cfg) {
   gro_.flush_stale = &registry_.counter("offload.gro.flush.stale");
   gro_.holds = &registry_.counter("offload.gro.holds");
 
-  tcp_.fast_retransmits = &registry_.counter("tcp.retx.fast");
-  tcp_.rtos = &registry_.counter("tcp.retx.timeout");
-  tcp_.retransmitted_bytes = &registry_.counter("tcp.retx.bytes");
-  tcp_.dup_acks = &registry_.counter("tcp.dup_acks");
-  tcp_.spurious_recoveries = &registry_.counter("tcp.spurious_recoveries");
+  for (const char* name : kTcpCounters) registry_.counter(name);
 
   controller_.link_failures = &registry_.counter("controller.link_failures");
   controller_.link_restores = &registry_.counter("controller.link_restores");

@@ -37,6 +37,24 @@ TEST(CheckScenario, CleanRunWithFaultsHasNoViolations) {
   EXPECT_TRUE(out.drained);
 }
 
+TEST(CheckScenario, MptcpRunDrainsAndAuditsClean) {
+  // The MPTCP reinjection watchdog pauses once its connection is quiet, so
+  // a finished MPTCP workload drains the event queue like any other scheme
+  // instead of tripping the liveness oracle at the cap.
+  Scenario sc;
+  std::string err;
+  ASSERT_TRUE(Scenario::parse(
+      "seed=1 scheme=mptcp spines=2 leaves=2 hpl=2 gamma=1 buf=204800 "
+      "suspicion=0 cap_us=2000000 flows=0-2:200000 rpcs=0-3:20000x3 "
+      "faults=- bug=-",
+      &sc, &err))
+      << err;
+  RunOutcome out = run_scenario(sc);
+  EXPECT_TRUE(out.ok) << out.report;
+  EXPECT_TRUE(out.drained);
+  EXPECT_GT(out.frames_delivered, 0u);
+}
+
 TEST(CheckOracle, PlantedFrameEaterTripsConservation) {
   Scenario sc = Scenario::generate(0);
   sc.bug = "eat:40";

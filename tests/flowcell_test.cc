@@ -270,7 +270,7 @@ TEST(LabelMap, VersionBumpsOnUpdate) {
 // segment gets a schedule label, and a quarantined label is only chosen when
 // the whole schedule is quarantined — and (b) never leave a label
 // permanently quarantined: once signals stop, every quarantine expires
-// within `suspicion_max_hold` and round robin reaches all labels again.
+// within `kSuspicionMaxHold` and round robin reaches all labels again.
 TEST(FlowcellEngineQuarantine, RandomSignalsNeverDeadlockOrStickForever) {
   constexpr std::uint32_t kTrees = 4;
   for (std::uint64_t trial = 1; trial <= 24; ++trial) {
@@ -343,7 +343,7 @@ TEST(FlowcellEngineQuarantine, RandomSignalsNeverDeadlockOrStickForever) {
 
     // Quiet period: longer than the worst-case escalated hold. Everything
     // must come back, no matter what the random history looked like.
-    t += cfg.suspicion_max_hold + 4 * cfg.suspicion_hold +
+    t += FlowcellEngine::kSuspicionMaxHold + 4 * cfg.suspicion_hold +
          sim::kMillisecond;
     sim.run_until(t);
     for (net::MacAddr label : schedule) {

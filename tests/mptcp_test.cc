@@ -33,11 +33,10 @@ TEST(CoupledGroup, AlphaCapsAggregateAggression) {
 
 TEST(CoupledCc, LossHalvesOnlyThatSubflow) {
   auto g = std::make_shared<CoupledGroup>();
-  tcp::CcConfig cfg;
   const std::size_t m0 = g->add_member(100000);
   const std::size_t m1 = g->add_member(100000);
-  CoupledCc cc0(g, m0, cfg);
-  CoupledCc cc1(g, m1, cfg);
+  CoupledCc cc0(g, m0);
+  CoupledCc cc1(g, m1);
   cc0.on_loss_event(0);
   EXPECT_NEAR(cc0.cwnd_bytes(), 50000, 1);
   EXPECT_NEAR(cc1.cwnd_bytes(), 100000, 1);

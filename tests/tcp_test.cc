@@ -11,39 +11,6 @@ namespace {
 
 using test::TwoHostRig;
 
-TEST(Congestion, RenoSlowStartDoublesPerRtt) {
-  RenoCc cc;
-  const double start = cc.cwnd_bytes();
-  EXPECT_TRUE(cc.in_slow_start());
-  cc.on_ack(static_cast<std::uint64_t>(start), 0, 1000);
-  EXPECT_NEAR(cc.cwnd_bytes(), 2 * start, 1);
-}
-
-TEST(Congestion, RenoCongestionAvoidanceLinear) {
-  RenoCc cc;
-  cc.on_loss_event(0);  // leave slow start
-  const double w = cc.cwnd_bytes();
-  EXPECT_FALSE(cc.in_slow_start());
-  // One window of ACKs should add ~1 MSS.
-  cc.on_ack(static_cast<std::uint64_t>(w), 0, 1000);
-  EXPECT_NEAR(cc.cwnd_bytes(), w + net::kMss, net::kMss * 0.1);
-}
-
-TEST(Congestion, RenoHalvesOnLoss) {
-  RenoCc cc;
-  cc.on_ack(100000, 0, 1000);
-  const double w = cc.cwnd_bytes();
-  cc.on_loss_event(0);
-  EXPECT_NEAR(cc.cwnd_bytes(), w / 2, 1);
-}
-
-TEST(Congestion, RenoTimeoutCollapsesToOneMss) {
-  RenoCc cc;
-  cc.on_ack(1000000, 0, 1000);
-  cc.on_timeout(0);
-  EXPECT_NEAR(cc.cwnd_bytes(), net::kMss, 1);
-}
-
 TEST(Congestion, CubicReducesBy30PercentOnLoss) {
   CubicCc cc;
   cc.on_ack(500000, 0, 1000);  // grow a bit in slow start
@@ -257,43 +224,26 @@ TEST(Tcp, AppWriteWhileBusyExtendsStream) {
 }
 
 // Parameterized loss sweep: the connection must always complete, across
-// loss rates, with either CC algorithm.
-struct LossSweepParam {
-  int loss_percent;
-  CcKind cc;
-};
-
-class TcpLossSweep : public ::testing::TestWithParam<LossSweepParam> {};
+// loss rates (parameter: loss percent).
+class TcpLossSweep : public ::testing::TestWithParam<int> {};
 
 TEST_P(TcpLossSweep, TransferCompletes) {
   TwoHostRig rig;
-  tcp::TcpConfig cfg;
-  cfg.cc = GetParam().cc;
-  TcpSender& snd = rig.a->create_sender(rig.flow(), cfg);
+  TcpSender& snd = rig.a->create_sender(rig.flow());
   TcpReceiver& rcv = rig.b->create_receiver(rig.flow());
   sim::Rng rng(1234);
-  const int pct = GetParam().loss_percent;
+  const int pct = GetParam();
   rig.a_to_b->set_filter([&rng, pct](const net::Packet& p) {
     if (p.is_ack) return true;
     return rng.below(100) >= static_cast<std::uint64_t>(pct);
   });
   snd.app_write(300000);
   rig.sim.run_until(30 * sim::kSecond);
-  EXPECT_EQ(rcv.delivered(), 300000u)
-      << "loss=" << pct << "% cc=" << static_cast<int>(GetParam().cc);
-  (void)snd;
+  EXPECT_EQ(rcv.delivered(), 300000u) << "loss=" << pct << "%";
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    LossRates, TcpLossSweep,
-    ::testing::Values(LossSweepParam{0, CcKind::kCubic},
-                      LossSweepParam{1, CcKind::kCubic},
-                      LossSweepParam{3, CcKind::kCubic},
-                      LossSweepParam{10, CcKind::kCubic},
-                      LossSweepParam{0, CcKind::kReno},
-                      LossSweepParam{1, CcKind::kReno},
-                      LossSweepParam{3, CcKind::kReno},
-                      LossSweepParam{10, CcKind::kReno}));
+INSTANTIATE_TEST_SUITE_P(LossRates, TcpLossSweep,
+                         ::testing::Values(0, 1, 3, 10));
 
 }  // namespace
 }  // namespace presto::tcp

@@ -165,6 +165,52 @@ INSTANTIATE_TEST_SUITE_P(
       return n;
     });
 
+// TCP counts only in TcpSenderStats: each tcp.* counter of a snapshot is
+// the sum over every host's senders (MPTCP subflows included), current on
+// every call.
+TEST(Telemetry, TcpCountersAreTheSumOfSenderStats) {
+  for (harness::Scheme scheme :
+       {harness::Scheme::kPresto, harness::Scheme::kMptcp}) {
+    SCOPED_TRACE(harness::scheme_name(scheme));
+    harness::ExperimentConfig cfg;
+    cfg.scheme = scheme;
+    cfg.spines = 2;
+    cfg.leaves = 2;
+    cfg.hosts_per_leaf = 2;
+    cfg.seed = 7;
+    cfg.fault_plan = "degrade@1ms leaf=0 spine=0 loss_bad=0.3";
+    cfg.telemetry.metrics = true;
+    harness::Experiment ex(cfg);
+    for (const auto& [s, d] : workload::stride_pairs(4, 2)) {
+      ex.add_elephant(s, d, 0);
+    }
+    tcp::TcpSenderStats sum;
+    for (sim::Time until : {30 * sim::kMillisecond, 60 * sim::kMillisecond}) {
+      ex.sim().run_until(until);
+      const Snapshot snap = ex.telemetry_snapshot();
+      sum = {};
+      for (net::HostId h = 0; h < ex.topo().host_count(); ++h) {
+        ex.host(h).for_each_sender([&sum](const tcp::TcpSender& snd) {
+          sum.fast_retransmits += snd.stats().fast_retransmits;
+          sum.timeouts += snd.stats().timeouts;
+          sum.retransmitted_bytes += snd.stats().retransmitted_bytes;
+          sum.dup_acks += snd.stats().dup_acks;
+          sum.spurious_recoveries += snd.stats().spurious_recoveries;
+        });
+      }
+      EXPECT_EQ(snap.counters.at("tcp.retx.fast"), sum.fast_retransmits);
+      EXPECT_EQ(snap.counters.at("tcp.retx.timeout"), sum.timeouts);
+      EXPECT_EQ(snap.counters.at("tcp.retx.bytes"), sum.retransmitted_bytes);
+      EXPECT_EQ(snap.counters.at("tcp.dup_acks"), sum.dup_acks);
+      EXPECT_EQ(snap.counters.at("tcp.spurious_recoveries"),
+                sum.spurious_recoveries);
+    }
+    // The gray link makes the comparison non-trivial.
+    EXPECT_GT(sum.fast_retransmits, 0u);
+    EXPECT_GT(sum.retransmitted_bytes, 0u);
+  }
+}
+
 TEST(Telemetry, DisabledExperimentReturnsEmptySnapshot) {
   harness::ExperimentConfig cfg;
   cfg.scheme = harness::Scheme::kPresto;
